@@ -245,11 +245,12 @@ class Parser {
     return true;
   }
 
-  Json parse_value() {
+  /// `depth` counts the arrays/objects enclosing this value.
+  Json parse_value(int depth = 0) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -264,7 +265,14 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  void check_depth(int depth) const {
+    if (depth > Json::kMaxParseDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) +
+           " levels");
+  }
+
+  Json parse_object(int depth) {
+    check_depth(depth);
     expect('{');
     Json j = Json::object();
     skip_ws();
@@ -277,7 +285,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      j[key] = parse_value();
+      j[key] = parse_value(depth);
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -288,7 +296,8 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
+    check_depth(depth);
     expect('[');
     Json j = Json::array();
     skip_ws();
@@ -297,7 +306,7 @@ class Parser {
       return j;
     }
     while (true) {
-      j.push_back(parse_value());
+      j.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "kernels/region_plan.h"
@@ -8,16 +9,66 @@
 
 namespace cosparse::runtime {
 
-Engine::Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
-               EngineOptions opts)
+PreparedMatrix::Key PreparedMatrix::key_for(const sim::SystemConfig& cfg,
+                                            const EngineOptions& opts) {
+  Key k;
+  k.num_pes = cfg.num_pes();
+  k.num_tiles = cfg.num_tiles;
+  k.vblock_cols = opts.vblocked ? kernels::default_vblock_cols(cfg) : 0;
+  k.nnz_balanced = opts.nnz_balanced;
+  return k;
+}
+
+std::shared_ptr<const PreparedMatrix> PreparedMatrix::build(
+    const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
+    const EngineOptions& opts) {
+  std::shared_ptr<PreparedMatrix> p(new PreparedMatrix());
+  p->key_ = key_for(cfg, opts);
+  const Key& k = p->key_;
+  // f_next = SpMV(G^T, f): build the resident copies of G^T. SC streams a
+  // plain nnz-balanced layout; SCS additionally needs vblocking so vector
+  // segments fit the scratchpad (the SC/SCS trade-off of Fig. 5 hinges on
+  // exactly this difference).
+  const sparse::Coo mt = sparse::transpose(adjacency);
+  p->density_ = mt.density();
+  p->ip_sc_ = kernels::IpPartitionedMatrix::build(mt, k.num_pes, 0,
+                                                  k.nnz_balanced);
+  p->ip_scs_ = kernels::IpPartitionedMatrix::build(mt, k.num_pes,
+                                                   k.vblock_cols,
+                                                   k.nnz_balanced);
+  p->op_ = kernels::OpStripedMatrix::build(mt, k.num_tiles, k.nnz_balanced);
+  return p;
+}
+
+std::uint64_t PreparedMatrix::bytes() const {
+  std::uint64_t b = 0;
+  for (const kernels::IpPartitionedMatrix* ip : {&ip_sc_, &ip_scs_}) {
+    b += ip->nnz() * sizeof(sparse::Triplet);
+    for (const auto& part : ip->partitions())
+      b += sizeof(part) + part.vblocks.size() * sizeof(part.vblocks[0]);
+  }
+  for (const auto& s : op_.stripes()) {
+    b += sizeof(s) + s.col_ptr.size() * sizeof(Offset) +
+         s.elems.size() * sizeof(s.elems[0]);
+  }
+  return b;
+}
+
+Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
+               const sim::SystemConfig& cfg, EngineOptions opts)
     : opts_(opts),
       machine_(cfg, opts.fixed_hw.value_or(sim::HwConfig::kSC)),
       amap_(machine_),
       decider_(cfg, opts.thresholds),
       native_hw_(opts.fixed_hw.value_or(sim::HwConfig::kSC)),
+      prepared_(std::move(prepared)),
       trace_(opts.trace),
       metrics_(opts.metrics),
       telemetry_(opts.telemetry) {
+  COSPARSE_REQUIRE(prepared_ != nullptr, "Engine: null prepared matrix");
+  COSPARSE_REQUIRE(prepared_->key() == PreparedMatrix::key_for(cfg, opts_),
+                   "Engine: prepared matrix was built for a different "
+                   "system config or layout options");
   machine_.set_trace(trace_);
   machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
@@ -44,19 +95,6 @@ Engine::Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
   }
   decider_.set_metrics(metrics_);
   decider_.set_audit(&audit_);
-  // f_next = SpMV(G^T, f): build the resident copies of G^T. SC streams a
-  // plain nnz-balanced layout; SCS additionally needs vblocking so vector
-  // segments fit the scratchpad (the SC/SCS trade-off of Fig. 5 hinges on
-  // exactly this difference).
-  const sparse::Coo mt = sparse::transpose(adjacency);
-  matrix_density_ = mt.density();
-  ip_matrix_sc_ = kernels::IpPartitionedMatrix::build(mt, cfg.num_pes(), 0,
-                                                      opts_.nnz_balanced);
-  const Index vb = opts_.vblocked ? kernels::default_vblock_cols(cfg) : 0;
-  ip_matrix_scs_ = kernels::IpPartitionedMatrix::build(mt, cfg.num_pes(), vb,
-                                                       opts_.nnz_balanced);
-  op_matrix_ =
-      kernels::OpStripedMatrix::build(mt, cfg.num_tiles, opts_.nnz_balanced);
   // Frontier staging buffers (see engine.h): allocate the worst-case
   // storage once so their host pointers never change over the engine's
   // lifetime. nnz is bounded by the dimension, so reserving `dim` entries
@@ -86,10 +124,10 @@ const sparse::SparseVector& Engine::stage_sparse(
 Decision Engine::resolve_decision(std::size_t frontier_nnz) const {
   Decision d;
   if (opts_.sw_reconfig) {
-    d = decider_.decide(dimension(), matrix_density_, frontier_nnz);
+    d = decider_.decide(dimension(), matrix_density(), frontier_nnz);
   } else {
     d = decider_.decide_forced_sw(opts_.fixed_sw, dimension(),
-                                  matrix_density_, frontier_nnz);
+                                  matrix_density(), frontier_nnz);
   }
   if (!opts_.hw_reconfig) {
     // Cache-only baseline mapping unless the caller pinned a config.

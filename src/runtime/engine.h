@@ -1,10 +1,10 @@
 // cosparse::runtime::Engine — the public entry point of the framework.
 //
-// An Engine owns (a) the simulated reconfigurable machine, (b) the
-// resident matrix copies (plain COO for IP/SC, vblock-ordered COO for
-// IP/SCS, row-striped CSC for OP — kept simultaneously to avoid matrix
-// relayout at reconfiguration time, paper §III-D.2), and (c) the decision
-// engine.
+// An Engine owns (a) the simulated reconfigurable machine, (b) a shared,
+// immutable PreparedMatrix holding the resident matrix copies (plain COO
+// for IP/SC, vblock-ordered COO for IP/SCS, row-striped CSC for OP — kept
+// simultaneously to avoid matrix relayout at reconfiguration time, paper
+// §III-D.2), and (c) the decision engine.
 // Every spmv() call runs the full per-iteration CoSPARSE flow:
 //
 //   decide SW + HW  ->  reconfigure hardware if needed (flush + <=10 cyc)
@@ -92,6 +92,62 @@ struct EngineOptions {
   native::ExecMode exec_mode = native::ExecMode::kSim;
 };
 
+/// The immutable, shareable half of an Engine: the three resident copies
+/// of G^T and the key they were built for. Building it (a sort-based COO
+/// transpose plus three layout builds) dominates Engine construction, so
+/// the serving daemon builds one per dataset residency and every batch's
+/// Engine reads it through a shared_ptr. Kernels only read the layouts,
+/// and each Engine keeps its own AddressMap, so engines sharing one
+/// PreparedMatrix — even concurrently — simulate exactly the addresses and
+/// cycles of privately built ones (DESIGN.md §11).
+class PreparedMatrix {
+ public:
+  /// Everything the layouts depend on besides the matrix itself.
+  struct Key {
+    std::uint32_t num_pes = 0;
+    std::uint32_t num_tiles = 0;
+    Index vblock_cols = 0;
+    bool nnz_balanced = true;
+
+    bool operator==(const Key&) const = default;
+  };
+
+  [[nodiscard]] static Key key_for(const sim::SystemConfig& cfg,
+                                   const EngineOptions& opts);
+
+  /// `adjacency`: A with A[u][v] = weight of edge u -> v; the layouts hold
+  /// G^T so that f_next = SpMV(G^T, f) (paper Fig. 2).
+  [[nodiscard]] static std::shared_ptr<const PreparedMatrix> build(
+      const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
+      const EngineOptions& opts);
+
+  [[nodiscard]] const Key& key() const { return key_; }
+  [[nodiscard]] Index dimension() const { return ip_sc_.rows(); }
+  [[nodiscard]] double density() const { return density_; }
+  // Two IP layouts stay resident: SC streams plain nnz-balanced row
+  // partitions, SCS needs the vblocked ordering so the vector segment of
+  // the active vblock fits the tile scratchpad (paper Fig. 3). Keeping
+  // both avoids relayout at reconfiguration time, like the COO+CSC pair.
+  [[nodiscard]] const kernels::IpPartitionedMatrix& ip_sc() const {
+    return ip_sc_;
+  }
+  [[nodiscard]] const kernels::IpPartitionedMatrix& ip_scs() const {
+    return ip_scs_;
+  }
+  [[nodiscard]] const kernels::OpStripedMatrix& op() const { return op_; }
+  /// Host bytes held by the three layouts.
+  [[nodiscard]] std::uint64_t bytes() const;
+
+ private:
+  PreparedMatrix() = default;
+
+  Key key_;
+  double density_ = 0.0;
+  kernels::IpPartitionedMatrix ip_sc_;
+  kernels::IpPartitionedMatrix ip_scs_;
+  kernels::OpStripedMatrix op_;
+};
+
 /// One row of the Fig. 9-style iteration log.
 struct IterationRecord {
   std::uint32_t index = 0;
@@ -161,9 +217,16 @@ class Engine {
     }
   };
 
-  /// `adjacency`: A with A[u][v] = weight of edge u -> v.
+  /// `adjacency`: A with A[u][v] = weight of edge u -> v. Builds a private
+  /// PreparedMatrix.
   Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
-         EngineOptions opts = {});
+         EngineOptions opts = {})
+      : Engine(PreparedMatrix::build(adjacency, cfg, opts), cfg, opts) {}
+
+  /// Runs on a (possibly shared) prepared matrix; its key must match
+  /// PreparedMatrix::key_for(cfg, opts).
+  Engine(std::shared_ptr<const PreparedMatrix> prepared,
+         const sim::SystemConfig& cfg, EngineOptions opts = {});
 
   /// The per-iteration CoSPARSE SpMV (see file comment). `dst_old` supplies
   /// V_dst for semirings with kUsesDst (CF).
@@ -177,8 +240,11 @@ class Engine {
   void charge_vector_pass(std::size_t elements, double ops_per_element,
                           std::uint32_t bytes_per_element);
 
-  [[nodiscard]] Index dimension() const { return ip_matrix_sc_.rows(); }
-  [[nodiscard]] double matrix_density() const { return matrix_density_; }
+  [[nodiscard]] Index dimension() const { return prepared_->dimension(); }
+  [[nodiscard]] double matrix_density() const { return prepared_->density(); }
+  [[nodiscard]] const std::shared_ptr<const PreparedMatrix>& prepared() const {
+    return prepared_;
+  }
   [[nodiscard]] const sim::SystemConfig& system() const {
     return machine_.config();
   }
@@ -263,13 +329,7 @@ class Engine {
   /// records identical to sim mode and selects the matching IP layout.
   sim::HwConfig native_hw_;
   native::DecisionEngine native_decider_;
-  // Two IP layouts stay resident: SC streams plain nnz-balanced row
-  // partitions, SCS needs the vblocked ordering so the vector segment of
-  // the active vblock fits the tile scratchpad (paper Fig. 3). Keeping
-  // both avoids relayout at reconfiguration time, like the COO+CSC pair.
-  kernels::IpPartitionedMatrix ip_matrix_sc_;
-  kernels::IpPartitionedMatrix ip_matrix_scs_;
-  kernels::OpStripedMatrix op_matrix_;
+  std::shared_ptr<const PreparedMatrix> prepared_;
   // Frontier staging buffers, allocated once at construction and refilled
   // in place each iteration. AddressMap memoizes simulated regions by host
   // pointer, so every pointer the kernels map must stay stable for the
@@ -280,7 +340,6 @@ class Engine {
   // would DMA into.
   kernels::DenseFrontier staged_dense_;
   sparse::SparseVector staged_sparse_;
-  double matrix_density_ = 0.0;
   std::vector<IterationRecord> log_;
   std::uint32_t next_iteration_ = 0;
   std::optional<SwConfig> last_sw_;
@@ -328,8 +387,8 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
   if (d.sw == SwConfig::kIP) {
     out.dense = true;
     Cycles conv = 0;
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? ip_matrix_scs_
-                                                     : ip_matrix_sc_;
+    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs()
+                                                     : prepared_->ip_sc();
     if (f.dense) {
       const kernels::DenseFrontier& df = stage_dense(f.df);
       kernel_begin = machine_.cycles();
@@ -358,16 +417,16 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, op_matrix_, sv,
-                                            dst_old, sr);
+        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op(),
+                                            sv, dst_old, sr);
       }
     } else {
       const sparse::SparseVector& sv = stage_sparse(f.sv);
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, op_matrix_, sv,
-                                            dst_old, sr);
+        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op(),
+                                            sv, dst_old, sr);
       }
     }
     kernel_end = machine_.cycles();
@@ -421,8 +480,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
     // The decided hw config still selects the matching resident layout
     // (SCS streams the vblocked ordering), so element visit order — and
     // therefore every accumulation — matches the sim run exactly.
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? ip_matrix_scs_
-                                                     : ip_matrix_sc_;
+    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs()
+                                                     : prepared_->ip_sc();
     const kernels::DenseFrontier* df = nullptr;
     if (f.dense) {
       df = &stage_dense(f.df);
@@ -442,8 +501,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
       sv = &stage_sparse(f.sv);
     }
     out.op = native::push_spmsv(machine_.config(), native_hw_,
-                                machine_.executor(), op_matrix_, *sv, dst_old,
-                                sr);
+                                machine_.executor(), prepared_->op(), *sv,
+                                dst_old, sr);
   }
 
   // No cycle model in native mode: records keep the schema (lint requires

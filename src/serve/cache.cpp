@@ -3,6 +3,7 @@
 #include <condition_variable>
 
 #include "common/error.h"
+#include "runtime/engine.h"
 #include "sparse/formats.h"
 
 namespace cosparse::serve {
@@ -19,6 +20,13 @@ struct CacheEntry {
   bool loading = true;
   bool failed = false;  ///< load threw; waiters rethrow instead of leasing
   std::condition_variable loaded_cv;
+  /// Once-latch for `prepared`: held for the whole first build, so
+  /// concurrent batches of this dataset build it once while other
+  /// datasets prepare in parallel. `prepared` and `prepared_bytes` are
+  /// written under both this and the cache mutex.
+  std::mutex prepare_mu;
+  std::shared_ptr<const runtime::PreparedMatrix> prepared;
+  std::uint64_t prepared_bytes = 0;
 };
 
 Json CacheStats::to_json() const {
@@ -29,6 +37,9 @@ Json CacheStats::to_json() const {
   j["over_budget_loads"] = over_budget_loads;
   j["bytes_resident"] = bytes_resident;
   j["peak_bytes_resident"] = peak_bytes_resident;
+  j["prepares"] = prepares;
+  j["prepared_bytes_resident"] = prepared_bytes_resident;
+  j["peak_prepared_bytes"] = peak_prepared_bytes;
   return j;
 }
 
@@ -46,6 +57,12 @@ MatrixCache::Lease& MatrixCache::Lease::operator=(Lease&& other) noexcept {
 const sparse::Graph& MatrixCache::Lease::graph() const {
   COSPARSE_CHECK(entry_ != nullptr);
   return entry_->graph;
+}
+
+std::shared_ptr<const runtime::PreparedMatrix> MatrixCache::Lease::prepared(
+    const sim::SystemConfig& cfg, const runtime::EngineOptions& opts) const {
+  COSPARSE_CHECK(entry_ != nullptr);
+  return cache_->prepare_entry(entry_, cfg, opts);
 }
 
 void MatrixCache::Lease::release() {
@@ -128,6 +145,32 @@ MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
   return Lease(this, entry);
 }
 
+std::shared_ptr<const runtime::PreparedMatrix> MatrixCache::prepare_entry(
+    CacheEntry* entry, const sim::SystemConfig& cfg,
+    const runtime::EngineOptions& opts) {
+  // The caller's lease pins the entry, so it cannot be evicted (and its
+  // latch destroyed) while we hold the latch.
+  const std::lock_guard<std::mutex> once(entry->prepare_mu);
+  if (entry->prepared != nullptr) {
+    COSPARSE_REQUIRE(entry->prepared->key() ==
+                         runtime::PreparedMatrix::key_for(cfg, opts),
+                     "matrix cache: dataset '" + entry->name +
+                         "' was prepared for a different system config");
+    return entry->prepared;
+  }
+  // A throwing build leaves the latch open; the next caller retries.
+  auto built = runtime::PreparedMatrix::build(entry->graph.adjacency(), cfg,
+                                              opts);
+  const std::lock_guard<std::mutex> lock(mu_);
+  entry->prepared = built;
+  entry->prepared_bytes = built->bytes();
+  ++stats_.prepares;
+  stats_.prepared_bytes_resident += entry->prepared_bytes;
+  if (stats_.prepared_bytes_resident > stats_.peak_prepared_bytes)
+    stats_.peak_prepared_bytes = stats_.prepared_bytes_resident;
+  return built;
+}
+
 void MatrixCache::make_room(std::uint64_t need) {
   // Evict strict-LRU among unpinned, fully-loaded entries until `need`
   // fits; never touch pinned entries (in-flight queries read them).
@@ -140,6 +183,7 @@ void MatrixCache::make_room(std::uint64_t need) {
     }
     if (victim == nullptr) return;  // everything pinned: run over budget
     stats_.bytes_resident -= victim->bytes;
+    stats_.prepared_bytes_resident -= victim->prepared_bytes;
     ++stats_.evictions;
     const std::string victim_name = victim->name;
     entries_.erase(victim_name);

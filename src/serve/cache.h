@@ -13,6 +13,14 @@
 // Thread-safe: batches on different serve threads acquire concurrently;
 // the map is mutex-protected and loads happen outside the lock only for
 // distinct datasets (a per-entry load latch serializes duplicate loads).
+//
+// Each entry also carries its dataset's runtime::PreparedMatrix (the
+// resident SpMV layouts of G^T), built on the first Lease::prepared() call
+// of the residency under a per-entry once-latch and shared by every
+// Engine built from it. The byte budget stays in graph bytes (the unit the
+// scheduler's virtual cache twin mirrors); prepared bytes are reported in
+// CacheStats but not charged. Evicting an entry drops only the cache's
+// reference: engines in flight keep the prepared form alive.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +33,15 @@
 #include "sparse/datasets.h"
 #include "sparse/graph.h"
 
+namespace cosparse::sim {
+struct SystemConfig;
+}  // namespace cosparse::sim
+
+namespace cosparse::runtime {
+class PreparedMatrix;
+struct EngineOptions;
+}  // namespace cosparse::runtime
+
 namespace cosparse::serve {
 
 struct CacheStats {
@@ -36,6 +53,11 @@ struct CacheStats {
   std::uint64_t over_budget_loads = 0;
   std::uint64_t bytes_resident = 0;
   std::uint64_t peak_bytes_resident = 0;
+  /// PreparedMatrix builds (at most one per residency) and the layout
+  /// bytes the resident entries hold; not charged against the budget.
+  std::uint64_t prepares = 0;
+  std::uint64_t prepared_bytes_resident = 0;
+  std::uint64_t peak_prepared_bytes = 0;
 
   [[nodiscard]] Json to_json() const;
 };
@@ -67,6 +89,13 @@ class MatrixCache {
 
     [[nodiscard]] bool valid() const { return entry_ != nullptr; }
     [[nodiscard]] const sparse::Graph& graph() const;
+    /// The entry's prepared layouts, built on the first call of this
+    /// residency (concurrent callers wait for that one build). Every call
+    /// must pass a config/options pair with the same PreparedMatrix::Key;
+    /// a mismatch throws cosparse::Error.
+    [[nodiscard]] std::shared_ptr<const runtime::PreparedMatrix> prepared(
+        const sim::SystemConfig& cfg,
+        const runtime::EngineOptions& opts) const;
 
     void release();
 
@@ -92,6 +121,9 @@ class MatrixCache {
 
  private:
   void release_entry(CacheEntry* entry);
+  std::shared_ptr<const runtime::PreparedMatrix> prepare_entry(
+      CacheEntry* entry, const sim::SystemConfig& cfg,
+      const runtime::EngineOptions& opts);
   /// Evicts LRU unpinned entries until `need` more bytes fit the budget;
   /// stops (over budget) when only pinned entries remain. Caller holds
   /// mu_.

@@ -3,13 +3,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <unordered_set>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "sparse/generate.h"
 #include "sparse/io.h"
+#include "sparse/key_set.h"
 #include "sparse/serialize.h"
 
 namespace cosparse::sparse {
@@ -122,8 +122,7 @@ Graph DatasetRegistry::load(const std::string& name, unsigned scale,
     // Folding can collide a few edges (Coo combines duplicates); top the
     // count back up with uniform extras so |E| matches the spec exactly.
     if (adj.nnz() < edges) {
-      std::unordered_set<std::uint64_t> seen;
-      seen.reserve(adj.nnz() * 2);
+      FlatKeySet seen(static_cast<std::size_t>(edges));
       std::vector<Triplet> topped = adj.triplets();
       for (const auto& t : topped) {
         seen.insert((static_cast<std::uint64_t>(t.row) << 32) | t.col);
@@ -132,7 +131,7 @@ Graph DatasetRegistry::load(const std::string& name, unsigned scale,
       while (topped.size() < edges) {
         const auto r = static_cast<Index>(rng.next_below(vertices));
         const auto c = static_cast<Index>(rng.next_below(vertices));
-        if (seen.insert((static_cast<std::uint64_t>(r) << 32) | c).second) {
+        if (seen.insert((static_cast<std::uint64_t>(r) << 32) | c)) {
           topped.push_back(
               {r, c, static_cast<Value>(1 + rng.next_below(16))});
         }

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sparse/key_set.h"
 
 namespace cosparse::sparse {
 namespace {
@@ -37,8 +38,7 @@ Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
   const double cells = static_cast<double>(rows) * static_cast<double>(cols);
   COSPARSE_REQUIRE(static_cast<double>(nnz) <= cells,
                    "requested nnz exceeds matrix capacity");
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(nnz) * 2);
+  FlatKeySet seen(static_cast<std::size_t>(nnz));
   std::vector<Triplet> triplets;
   triplets.reserve(static_cast<std::size_t>(nnz));
   // For near-full matrices rejection would stall; guard with a generous cap
@@ -48,7 +48,7 @@ Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
   while (triplets.size() < nnz && draws < max_draws) {
     ++draws;
     auto [r, c] = sample();
-    if (seen.insert(pack(r, c)).second) {
+    if (seen.insert(pack(r, c))) {
       triplets.push_back({r, c, draw_value(rng, dist)});
     }
   }
@@ -56,7 +56,7 @@ Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
     // Deterministic fallback: enumerate remaining empty cells in order.
     for (Index r = 0; r < rows && triplets.size() < nnz; ++r) {
       for (Index c = 0; c < cols && triplets.size() < nnz; ++c) {
-        if (seen.insert(pack(r, c)).second) {
+        if (seen.insert(pack(r, c))) {
           triplets.push_back({r, c, draw_value(rng, dist)});
         }
       }
@@ -172,8 +172,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
   }
   COSPARSE_REQUIRE(nnz <= capacity, "requested nnz exceeds band capacity");
   Rng rng(seed, "banded");
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(nnz) * 2);
+  FlatKeySet seen(static_cast<std::size_t>(nnz));
   std::vector<Triplet> triplets;
   triplets.reserve(static_cast<std::size_t>(nnz));
   const std::uint64_t max_draws = nnz * 64 + 1024;
@@ -186,7 +185,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
     if (hi < lo) continue;  // row has no in-band columns (cols << rows)
     const Index c =
         lo + static_cast<Index>(rng.next_below(hi - lo + std::uint64_t{1}));
-    if (seen.insert(pack(r, c)).second) {
+    if (seen.insert(pack(r, c))) {
       triplets.push_back({r, c, draw_value(rng, dist)});
     }
   }
@@ -196,7 +195,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
     const Index lo = r > bandwidth ? r - bandwidth : 0;
     const Index hi = std::min<Index>(cols - 1, r + bandwidth);
     for (Index c = lo; c <= hi && triplets.size() < nnz; ++c) {
-      if (seen.insert(pack(r, c)).second) {
+      if (seen.insert(pack(r, c))) {
         triplets.push_back({r, c, draw_value(rng, dist)});
       }
     }

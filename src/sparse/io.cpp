@@ -1,6 +1,8 @@
 #include "sparse/io.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -49,8 +51,24 @@ Coo read_matrix_market(const std::string& path) {
       declared_nnz < 0)
     throw Error(path + ": malformed size line");
 
+  // The header's nnz is untrusted: reserve no more entries than the rest
+  // of the file can hold. An entry line is at least "r c" plus a newline,
+  // so n entries need at least 4n - 1 bytes; a header that overstates its
+  // nnz then fails the count check below instead of over-allocating.
+  std::uint64_t fits = 0;
+  const std::streamoff here = in.tellg();
+  std::error_code size_error;
+  const std::uintmax_t file_bytes =
+      std::filesystem::file_size(path, size_error);
+  if (here >= 0 && !size_error &&
+      file_bytes > static_cast<std::uintmax_t>(here)) {
+    fits = (file_bytes - static_cast<std::uintmax_t>(here) + 1) / 4;
+  }
+  const std::uint64_t reserve_entries =
+      std::min(static_cast<std::uint64_t>(declared_nnz), fits);
   std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(declared_nnz) * (symmetric ? 2 : 1));
+  triplets.reserve(
+      static_cast<std::size_t>(reserve_entries * (symmetric ? 2 : 1)));
   long long count = 0;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace cosparse {
@@ -81,6 +83,31 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), Error);
   EXPECT_THROW(Json::parse("nul"), Error);
   EXPECT_THROW(Json::parse("\"unterminated"), Error);
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  const int max = Json::kMaxParseDepth;
+  const auto nested = [](int depth, char open, char close,
+                         const std::string& inner) {
+    return std::string(static_cast<std::size_t>(depth), open) + inner +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(max, '[', ']', "")));
+  EXPECT_THROW((void)Json::parse(nested(max + 1, '[', ']', "")), Error);
+  // Objects count too, mixed with arrays.
+  std::string mixed;
+  for (int i = 0; i <= max; ++i) mixed += i % 2 == 0 ? "{\"k\":" : "[";
+  EXPECT_THROW((void)Json::parse(mixed), Error);
+  // A hostile line far past the limit fails cleanly instead of
+  // overflowing the stack.
+  try {
+    (void)Json::parse(std::string(200000, '['));
+    FAIL() << "expected a parse error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, FindReturnsNullptrOnMissingKey) {

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "graph/algorithms.h"
+#include "native/exec_mode.h"
+#include "runtime/engine.h"
 #include "serve/cache.h"
 #include "sparse/datasets.h"
 
@@ -134,6 +138,82 @@ TEST(MatrixCache, ConcurrentAcquiresLoadOnce) {
   // per dataset no matter how the 8 threads interleave.
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 8u * 20u - 2u);
+}
+
+runtime::EngineOptions native_options() {
+  runtime::EngineOptions opts;
+  opts.exec_mode = native::ExecMode::kNative;
+  opts.sim_threads = 0;
+  return opts;
+}
+
+const sim::SystemConfig kSystem = sim::SystemConfig::transmuter(2, 2);
+
+TEST(MatrixCache, ConcurrentPreparesBuildOnce) {
+  auto reg = registry();
+  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  const runtime::EngineOptions opts = native_options();
+  constexpr int kThreads = 4;
+  std::vector<const runtime::PreparedMatrix*> seen(kThreads, nullptr);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    workers.emplace_back([&, i] {
+      const auto lease = cache.acquire("twitter");
+      seen[static_cast<std::size_t>(i)] = lease.prepared(kSystem, opts).get();
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (const runtime::PreparedMatrix* p : seen) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p, seen.front());
+  }
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.prepares, 1u);
+  EXPECT_EQ(s.prepared_bytes_resident, seen.front()->bytes());
+  EXPECT_EQ(s.peak_prepared_bytes, s.prepared_bytes_resident);
+  // Prepared bytes are reported, never charged against the budget.
+  EXPECT_EQ(s.bytes_resident, bytes_of(reg, "twitter"));
+}
+
+TEST(MatrixCache, PreparedFormOutlivesEviction) {
+  auto reg = registry();
+  // Budget fits one dataset: loading vsp evicts the unpinned twitter.
+  MatrixCache cache(&reg, bytes_of(reg, "twitter"), kScale, 0);
+  const runtime::EngineOptions opts = native_options();
+  std::unique_ptr<runtime::Engine> eng;
+  {
+    const auto lease = cache.acquire("twitter");
+    eng = std::make_unique<runtime::Engine>(lease.prepared(kSystem, opts),
+                                            kSystem, opts);
+  }
+  const std::uint64_t prepared_bytes = eng->prepared()->bytes();
+  EXPECT_EQ(cache.stats().prepared_bytes_resident, prepared_bytes);
+  { const auto l = cache.acquire("vsp"); }
+  ASSERT_FALSE(cache.resident("twitter"));
+  EXPECT_EQ(cache.stats().prepared_bytes_resident, 0u);
+  EXPECT_EQ(cache.stats().peak_prepared_bytes, prepared_bytes);
+  // The engine's own reference keeps the layouts alive (ASan would flag a
+  // read of freed layouts here).
+  EXPECT_EQ(eng->prepared().use_count(), 1);
+  const graph::BfsResult res = graph::bfs(*eng, 0);
+  EXPECT_EQ(res.level.size(), eng->dimension());
+  EXPECT_EQ(res.level[0], 0);
+  // A new residency prepares again.
+  const auto again = cache.acquire("twitter");
+  EXPECT_NE(again.prepared(kSystem, opts), eng->prepared());
+  EXPECT_EQ(cache.stats().prepares, 2u);
+}
+
+TEST(MatrixCache, PreparedKeyMismatchThrows) {
+  auto reg = registry();
+  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  const runtime::EngineOptions opts = native_options();
+  const auto lease = cache.acquire("twitter");
+  (void)lease.prepared(kSystem, opts);
+  EXPECT_THROW((void)lease.prepared(sim::SystemConfig::transmuter(4, 2), opts),
+               Error);
+  EXPECT_EQ(cache.stats().prepares, 1u);
 }
 
 TEST(MatrixCache, GraphBytesFormula) {

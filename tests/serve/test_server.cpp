@@ -111,6 +111,10 @@ TEST(Server, HostCacheNeverServesMoreMissesThanDatasets) {
   EXPECT_LE(s.misses, cfg.traffic.datasets.size());
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(server.schedule().batches.size()));
+  // Every batch of a single-config replay shares its residency's prepared
+  // layouts: one build per load, not one per batch.
+  EXPECT_EQ(s.prepares, s.misses);
+  EXPECT_GT(s.peak_prepared_bytes, 0u);
 }
 
 TEST(Server, SourceVerticesAreReducedModuloDimension) {

@@ -91,6 +91,25 @@ TEST_F(IoTest, MatrixMarketNnzMismatch) {
   EXPECT_THROW(read_matrix_market(path), Error);
 }
 
+TEST_F(IoTest, MatrixMarketLyingNnzFailsWithoutOverAllocating) {
+  // The header claims 10^12 entries but the file holds one: reserving
+  // what the header says would throw bad_alloc/length_error instead of
+  // the count-mismatch error.
+  for (const char* symmetry : {"general", "symmetric"}) {
+    const auto path =
+        write_file(std::string("%%MatrixMarket matrix coordinate real ") +
+                   symmetry + "\n2 2 1000000000000\n1 1 1.0\n");
+    try {
+      (void)read_matrix_market(path);
+      FAIL() << symmetry << ": expected cosparse::Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("does not match declared nnz"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(IoTest, MissingFileThrows) {
   EXPECT_THROW(read_matrix_market("/nonexistent/file.mtx"), Error);
   EXPECT_THROW(read_edge_list("/nonexistent/file.txt"), Error);

@@ -119,6 +119,44 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
   EXPECT_EQ(rs[4].find("status")->as_string(), "ok");
 }
 
+TEST(Cosparsed, DeeplyNestedRequestLineGetsAnErrorResponse) {
+  // 200k unmatched '[' used to recurse the JSON parser off the stack
+  // (exit 139); now the line fails with a parse error like any other.
+  const std::string cfg = tiny_config_path();
+  const std::string requests = write_temp("nested.jsonl",
+      std::string(200000, '[') + "\n" +
+      "{\"dataset\": \"twitter\", \"algo\": \"bfs\"}\n");
+  const std::string responses = ::testing::TempDir() + "cd_nested.jsonl";
+  ASSERT_EQ(run({"--config", cfg, "--requests", requests,
+                 "--report-out", "", "--responses-out", responses}),
+            0);
+  std::ifstream in(responses);
+  std::string line;
+  std::vector<Json> rs;
+  while (std::getline(in, line)) rs.push_back(Json::parse(line));
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[0].find("id")->as_int(), 1);
+  EXPECT_EQ(rs[0].find("status")->as_string(), "error");
+  EXPECT_NE(rs[0].find("error")->as_string().find("nesting"),
+            std::string::npos);
+  EXPECT_EQ(rs[1].find("id")->as_int(), 2);
+  EXPECT_EQ(rs[1].find("status")->as_string(), "ok");
+}
+
+TEST(Cosparsed, CpuProfileAddsReportSectionAndFoldedStacks) {
+  const std::string cfg = tiny_config_path();
+  const std::string report_path = ::testing::TempDir() + "cd_prof.json";
+  const std::string folded = ::testing::TempDir() + "cd_prof.folded";
+  ASSERT_EQ(run({"--config", cfg, "--report-out", report_path,
+                 "--cpu-profile", folded}),
+            0);
+  const Json report = Json::parse(read_file(report_path));
+  const Json* prof = report.find("cpu_profile");
+  ASSERT_NE(prof, nullptr);
+  EXPECT_NE(prof->find("samples"), nullptr);
+  EXPECT_TRUE(std::ifstream(folded).good());
+}
+
 TEST(Cosparsed, TraceOutRoundTripsThroughRequests) {
   const std::string cfg = tiny_config_path();
   const std::string trace_path = ::testing::TempDir() + "cd_trace.jsonl";

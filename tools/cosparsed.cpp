@@ -11,6 +11,7 @@
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "serve/config.h"
 #include "serve/request.h"
@@ -88,6 +89,7 @@ int cosparsed_main(int argc, const char* const* argv, std::ostream& out,
                  "(replay mode only; feed it back via --requests)",
                  "");
   obs::TelemetrySession::add_cli_options(cli);
+  obs::CpuProfileSession::add_cli_options(cli);
   if (!cli.parse(argc, argv)) return 2;
 
   if (cli.str("config").empty()) {
@@ -134,6 +136,10 @@ int cosparsed_main(int argc, const char* const* argv, std::ostream& out,
 
   obs::TelemetrySession session;
   session.init(cli, "cosparsed");
+  // Host-CPU sampling profiler (off unless --cpu-profile names an output
+  // path): folded stacks + flamegraph on exit, cpu_profile report section.
+  obs::CpuProfileSession cpu_profile;
+  cpu_profile.init(cli, "cosparsed");
 
   serve::ServerOptions sopts;
   sopts.serve_threads =
@@ -174,6 +180,8 @@ int cosparsed_main(int argc, const char* const* argv, std::ostream& out,
     session.telemetry()->flush();
     report["telemetry"] = session.telemetry()->report_json();
   }
+  cpu_profile.finalize();  // stop sampling before the report is cut
+  if (cpu_profile.armed()) report["cpu_profile"] = cpu_profile.report();
 
   const serve::ScheduleStats& stats = server.schedule().stats;
   out << "cosparsed: " << stats.admitted << " admitted, " << stats.rejected
