@@ -30,8 +30,6 @@ KernelRun time_ip(const sparse::Coo& m, const kernels::DenseFrontier& x,
                   bool nnz_balanced, bool vblocked) {
   sim::Machine machine(cfg, hw);
   machine.set_profiler(profiler());
-  machine.set_executor(executor());
-  machine.set_telemetry(telemetry());
   kernels::AddressMap amap(machine);
   const auto part = kernels::IpPartitionedMatrix::build(
       m, cfg.num_pes(), vblocked ? vblock_cols_for(cfg) : 0, nnz_balanced);
@@ -52,8 +50,6 @@ KernelRun time_op(const sparse::Coo& m, const sparse::SparseVector& x,
                   bool nnz_balanced) {
   sim::Machine machine(cfg, hw);
   machine.set_profiler(profiler());
-  machine.set_executor(executor());
-  machine.set_telemetry(telemetry());
   kernels::AddressMap amap(machine);
   const auto striped =
       kernels::OpStripedMatrix::build(m, cfg.num_tiles, nnz_balanced);
@@ -126,7 +122,8 @@ struct ObsState {
   obs::MetricsRegistry metrics;
   obs::Report report{"bench"};
   std::unique_ptr<sim::MemProfiler> profiler;  ///< armed by --profile
-  std::unique_ptr<sim::ParallelExecutor> executor;  ///< armed by --sim-threads
+  /// Armed by --sim-threads in native mode only.
+  std::unique_ptr<sim::ParallelExecutor> executor;
   /// Armed by --telemetry-interval / COSPARSE_TELEMETRY (cadence,
   /// exporter outputs, SLO watchdog).
   obs::TelemetrySession telemetry;
@@ -184,9 +181,10 @@ void add_observability_options(CliParser& cli) {
                "attach the region-attributed memory profiler (adds the "
                "memory_profile report section; see cosparse-prof)");
   cli.add_option("sim-threads",
-                 "host threads for tile-parallel simulation (0 = serial; "
-                 "COSPARSE_SIM_THREADS is the fallback; results are "
-                 "bit-identical for any value)",
+                 "host threads for native-mode tile loops (0 = serial; "
+                 "COSPARSE_SIM_THREADS is the fallback; the simulator "
+                 "always runs serially; results are bit-identical for "
+                 "any value)",
                  "");
   cli.add_option("exec-mode",
                  "execution backend: sim (cycle-accurate, the default) or "
@@ -208,17 +206,6 @@ void init_observability(const CliParser& cli) {
   if (cli.has("profile") && cli.flag("profile")) {
     st.profiler = std::make_unique<sim::MemProfiler>();
   }
-  std::uint32_t sim_threads = sim::ParallelExecutor::threads_from_env();
-  if (cli.has("sim-threads") && !cli.str("sim-threads").empty()) {
-    sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
-  }
-  if (sim_threads >= 1) {
-    st.executor = std::make_unique<sim::ParallelExecutor>(sim_threads);
-    // Recorded only when parallel simulation is on: the setting never
-    // changes results, and serial reports stay byte-comparable across
-    // hosts that do or don't set COSPARSE_SIM_THREADS.
-    st.report.set("sim_threads", sim_threads);
-  }
   // Runs are only reproducible with their seed; keep it in the report.
   if (cli.has("seed")) st.report.set("seed", cli.integer("seed"));
   std::optional<std::string> mode;
@@ -226,6 +213,19 @@ void init_observability(const CliParser& cli) {
     mode = cli.str("exec-mode");
   }
   st.exec_mode = native::resolve_exec_mode(mode);
+  std::uint32_t sim_threads = sim::ParallelExecutor::threads_from_env();
+  if (cli.has("sim-threads") && !cli.str("sim-threads").empty()) {
+    sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
+  }
+  // Only native kernels run on host threads; the simulator is serial, so a
+  // sim-mode run starts no pool and records no thread count.
+  if (st.exec_mode == native::ExecMode::kNative && sim_threads >= 1) {
+    st.executor = std::make_unique<sim::ParallelExecutor>(sim_threads);
+    // The setting never changes results, and serial reports stay
+    // byte-comparable across hosts that do or don't set
+    // COSPARSE_SIM_THREADS.
+    st.report.set("sim_threads", sim_threads);
+  }
   // Honest-machine stamp: committed BENCH JSONs must say what hardware and
   // execution mode produced them. (Machine-dependent by design — never
   // byte-compare a section that names the CPU.)

@@ -94,11 +94,11 @@ void init_observability(const CliParser& cli);
 /// The process-wide metrics registry. Pass into EngineOptions::metrics.
 [[nodiscard]] obs::MetricsRegistry& metrics();
 
-/// The process-wide simulation executor, or nullptr when the run is
-/// serial. Resolved from --sim-threads (falling back to the
-/// COSPARSE_SIM_THREADS environment variable); time_ip/time_op attach it
-/// automatically, and engine_options() forwards it. Thread count never
-/// changes simulated results — only wall-clock time.
+/// The process-wide native-backend executor, or nullptr when the run is
+/// serial or simulated (the simulator always runs serially). Resolved
+/// from --sim-threads (falling back to the COSPARSE_SIM_THREADS
+/// environment variable); engine_options() forwards it. Thread count never
+/// changes results — only wall-clock time.
 [[nodiscard]] sim::ParallelExecutor* executor();
 
 /// The process-wide memory profiler, or nullptr unless --profile was
@@ -116,8 +116,8 @@ void init_observability(const CliParser& cli);
 [[nodiscard]] native::ExecMode exec_mode();
 
 /// The process-wide telemetry registry, or nullptr unless
-/// --telemetry-interval / COSPARSE_TELEMETRY armed it. time_ip/time_op
-/// and engine_options() attach it automatically; the cadence, exporter
+/// --telemetry-interval / COSPARSE_TELEMETRY armed it. engine_options()
+/// attaches it automatically; the cadence, exporter
 /// outputs and SLO watchdog are wired by init_observability() through an
 /// obs::TelemetrySession.
 [[nodiscard]] obs::Telemetry* telemetry();

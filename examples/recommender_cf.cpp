@@ -31,9 +31,10 @@ int main(int argc, char** argv) {
                "memory_profile report section; see cosparse-prof)");
   cli.add_option("report-out", "write a JSON run report to this path", "");
   cli.add_option("sim-threads",
-                 "host threads for tile-parallel simulation (0 = serial; "
-                 "COSPARSE_SIM_THREADS is the fallback; results are "
-                 "bit-identical for any value)",
+                 "host threads for native-mode tile loops (0 = serial; "
+                 "COSPARSE_SIM_THREADS is the fallback; the simulator "
+                 "always runs serially; results are bit-identical for "
+                 "any value)",
                  "");
   cli.add_option("exec-mode",
                  "execution backend: sim (cycle-accurate, the default) or "

@@ -70,7 +70,6 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
                    "Engine: prepared matrix was built for a different "
                    "system config or layout options");
   machine_.set_trace(trace_);
-  machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
       opts_.exec_mode == native::ExecMode::kNative) {
     // Stamp native streams so consumers (cosparse-top) can tell there is
@@ -78,19 +77,21 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
     telemetry_->set_header("exec_mode",
                            Json(std::string(to_string(opts_.exec_mode))));
   }
-  // Tile-parallel simulation: an external executor wins; otherwise resolve
-  // sim_threads (nullopt -> COSPARSE_SIM_THREADS) and own the pool. Thread
-  // count never changes results (sim::Machine::for_tiles).
-  if (opts_.executor != nullptr) {
-    machine_.set_executor(opts_.executor);
-  } else {
-    const std::uint32_t threads =
-        opts_.sim_threads.has_value()
-            ? *opts_.sim_threads
-            : sim::ParallelExecutor::threads_from_env();
-    if (threads >= 1) {
-      owned_exec_ = std::make_unique<sim::ParallelExecutor>(threads);
-      machine_.set_executor(owned_exec_.get());
+  // Native tile loops: an external executor wins; otherwise resolve
+  // sim_threads (nullopt -> COSPARSE_SIM_THREADS) and own the pool. The
+  // simulator is serial, so a sim engine never starts one.
+  if (opts_.exec_mode == native::ExecMode::kNative) {
+    if (opts_.executor != nullptr) {
+      exec_ = opts_.executor;
+    } else {
+      const std::uint32_t threads =
+          opts_.sim_threads.has_value()
+              ? *opts_.sim_threads
+              : sim::ParallelExecutor::threads_from_env();
+      if (threads >= 1) {
+        owned_exec_ = std::make_unique<sim::ParallelExecutor>(threads);
+        exec_ = owned_exec_.get();
+      }
     }
   }
   decider_.set_metrics(metrics_);

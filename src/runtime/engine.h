@@ -66,20 +66,21 @@ struct EngineOptions {
   obs::Trace* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Continuous telemetry registry (obs/telemetry.h; not owned). The
-  /// engine observes per-iteration wall/cycle/density histograms, attaches
-  /// the registry to the machine for tile-phase fill/replay timing, and
+  /// engine observes per-iteration wall/cycle/density histograms and
   /// pulses the snapshot cadence once per spmv() call. Telemetry only
   /// reads simulator state, so results are bit-identical with it on or
   /// off (the differential harness enforces this).
   obs::Telemetry* telemetry = nullptr;
-  /// Host threads for tile-parallel simulation. nullopt resolves
+  /// Host threads for the native backend's tile loops. nullopt resolves
   /// COSPARSE_SIM_THREADS (unset/invalid -> serial); an explicit 0 forces
-  /// serial simulation regardless of the environment; N >= 1 makes the
+  /// serial loops regardless of the environment; N >= 1 makes a native
   /// engine own a pool of exactly N workers. Results are bit-identical for
-  /// every setting (sim::Machine::for_tiles; DESIGN.md §11).
+  /// every setting. The simulator always runs serially: a kSim engine
+  /// ignores this knob and starts no threads (DESIGN.md §11).
   std::optional<std::uint32_t> sim_threads;
-  /// External executor to share across engines (not owned; must outlive
-  /// the engine). Overrides `sim_threads` when set.
+  /// External executor for the native backend to share across engines
+  /// (not owned; must outlive the engine). Overrides `sim_threads` when
+  /// set; ignored by kSim engines.
   sim::ParallelExecutor* executor = nullptr;
   /// Execution backend (ROADMAP item 4). kSim runs kernels through the
   /// cycle-accurate simulator; kNative runs the same kernel loops as plain
@@ -88,7 +89,7 @@ struct EngineOptions {
   /// differential harness and the CI byte-compare gate enforce this).
   /// Decisions are still made and audited identically; iteration records
   /// carry cycles = 0. The executor/sim_threads knobs parallelize native
-  /// kernels over tiles exactly as they parallelize the simulator.
+  /// kernels over tiles.
   native::ExecMode exec_mode = native::ExecMode::kSim;
 };
 
@@ -252,6 +253,9 @@ class Engine {
   [[nodiscard]] const sim::Machine& machine() const { return machine_; }
   [[nodiscard]] const DecisionEngine& decisions() const { return decider_; }
   [[nodiscard]] native::ExecMode exec_mode() const { return opts_.exec_mode; }
+  /// Host pool the native kernels run their tile loops on; nullptr for a
+  /// serial native engine and always for a sim engine.
+  [[nodiscard]] sim::ParallelExecutor* executor() const { return exec_; }
   /// Native kernel-family tally (pull/push iteration counts); meaningful
   /// only in native mode (all zero under simulation).
   [[nodiscard]] const native::DecisionEngine& native_decisions() const {
@@ -319,6 +323,7 @@ class Engine {
 
   EngineOptions opts_;
   std::unique_ptr<sim::ParallelExecutor> owned_exec_;  ///< see sim_threads
+  sim::ParallelExecutor* exec_ = nullptr;  ///< see executor()
   sim::Machine machine_;
   kernels::AddressMap amap_;
   AuditTrail audit_;
@@ -489,8 +494,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
       df = &fill_dense_staging(f.sv, sr.vector_identity());
       rec.converted_frontier = true;
     }
-    out.ip = native::pull_spmv(machine_.config(), native_hw_,
-                               machine_.executor(), layout, *df, sr);
+    out.ip = native::pull_spmv(machine_.config(), native_hw_, exec_, layout,
+                               *df, sr);
   } else {
     out.dense = false;
     const sparse::SparseVector* sv = nullptr;
@@ -500,9 +505,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
     } else {
       sv = &stage_sparse(f.sv);
     }
-    out.op = native::push_spmsv(machine_.config(), native_hw_,
-                                machine_.executor(), prepared_->op(), *sv,
-                                dst_old, sr);
+    out.op = native::push_spmsv(machine_.config(), native_hw_, exec_,
+                                prepared_->op(), *sv, dst_old, sr);
   }
 
   // No cycle model in native mode: records keep the schema (lint requires

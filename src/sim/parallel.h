@@ -1,12 +1,12 @@
-// Host thread pool for tile-parallel simulation (sim::Machine::for_tiles).
+// Host thread pool for the native backend's tile loops
+// (native::HostMachine::for_tiles).
 //
 // The executor is deliberately dumb: run(count, fn) hands the indices
 // [0, count) to a fixed pool of worker threads and blocks until every task
-// finished. Determinism is the Machine's job — tile phases log their
-// events and the machine replays the logs serially in ascending tile-ID
-// order (DESIGN.md §11) — so the executor only provides raw concurrency,
-// and any thread count, including 1, produces bit-identical simulation
-// results.
+// finished. Native kernel tile bodies write only tile/PE-exclusive output
+// slots, so any thread count, including 1, produces bit-identical results.
+// The cycle-accurate simulator (sim::Machine) always runs serially and
+// never uses a pool (DESIGN.md §11).
 #pragma once
 
 #include <condition_variable>
@@ -41,7 +41,7 @@ class ParallelExecutor {
 
   /// COSPARSE_SIM_THREADS resolution: the parsed value clamped to
   /// [0, 256], or 0 when the variable is unset/empty/non-numeric
-  /// (0 means "simulate serially").
+  /// (0 means "run native tile loops serially").
   [[nodiscard]] static std::uint32_t threads_from_env();
 
  private:

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -110,7 +112,9 @@ Coo read_edge_list(const std::string& path, bool undirected) {
   std::vector<Triplet> triplets;
   Index max_id = 0;
   std::string line;
+  std::uint64_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
     std::istringstream ls(line);
     long long u = 0, v = 0;
@@ -118,6 +122,14 @@ Coo read_edge_list(const std::string& path, bool undirected) {
     if (!(ls >> u >> v)) throw Error(path + ": malformed edge line: " + line);
     ls >> w;  // optional weight
     if (u < 0 || v < 0) throw Error(path + ": negative vertex id: " + line);
+    // Ids must fit Index, and max_id + 1 (the dimension) must too.
+    constexpr auto kMaxId = std::numeric_limits<Index>::max();
+    if (static_cast<unsigned long long>(u) >= kMaxId ||
+        static_cast<unsigned long long>(v) >= kMaxId) {
+      throw Error(path + ":" + std::to_string(line_no) +
+                  ": vertex id out of range (ids must be below " +
+                  std::to_string(kMaxId) + "): " + line);
+    }
     const auto ui = static_cast<Index>(u);
     const auto vi = static_cast<Index>(v);
     max_id = std::max({max_id, ui, vi});

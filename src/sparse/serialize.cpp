@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -75,6 +76,25 @@ Coo read_binary(const std::string& path) {
   const auto rows = get<Index>(in, path);
   const auto cols = get<Index>(in, path);
   const auto nnz = get<std::uint64_t>(in, path);
+  // The header's nnz is untrusted: it must account for exactly the bytes
+  // left in the file (nnz entries plus the checksum) before anything is
+  // allocated for it.
+  constexpr std::uint64_t kEntryBytes = 2 * sizeof(Index) + sizeof(Value);
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (!in || here < 0 || end < here) {
+    throw Error(path + ": cannot determine matrix file size");
+  }
+  const auto remaining = static_cast<std::uint64_t>(end - here);
+  if (remaining < sizeof(std::uint64_t) ||
+      (remaining - sizeof(std::uint64_t)) % kEntryBytes != 0 ||
+      (remaining - sizeof(std::uint64_t)) / kEntryBytes != nnz) {
+    throw Error(path + ": header declares " + std::to_string(nnz) +
+                " entries but the file holds " + std::to_string(remaining) +
+                " payload bytes (truncated or corrupt matrix file)");
+  }
   std::vector<Triplet> triplets;
   triplets.reserve(nnz);
   for (std::uint64_t i = 0; i < nnz; ++i) {

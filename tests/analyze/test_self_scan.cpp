@@ -52,14 +52,14 @@ TEST(SelfScan, SigprofHandlerIsWalked) {
 }
 
 TEST(SelfScan, TelemetryClockReadsAreWaivedNotSilent) {
-  // The 10 legacy wall-clock sites (sim/machine.cpp, runtime/engine.h,
+  // The 6 legacy wall-clock sites (runtime/engine.h,
   // graph/algorithms.cpp) are telemetry-only and bit-neutral; they must
   // appear as explicit allow(...) infos, not vanish.
   const LintReport& r = self_report();
   const auto waived = static_cast<std::size_t>(std::count_if(
       r.findings().begin(), r.findings().end(),
       [](const Finding& f) { return f.id == "determinism.allowed"; }));
-  EXPECT_GE(waived, 10u);
+  EXPECT_GE(waived, 6u);
 }
 
 TEST(SelfScan, KernelTusCarryContractOffWhenDbPresent) {

@@ -5,7 +5,7 @@
 // simulated-results subset of a run report — everything except the
 // wall-clock-bearing "telemetry" and "cpu_profile" sections — must be
 // byte-identical between a profiled and an unprofiled run of the same
-// workload, for serial and tile-parallel engines alike. Same guarantee
+// workload, for any sim_threads setting. Same guarantee
 // the CI byte-compare (cosparse-prof extract + cmp) enforces end-to-end.
 //
 // (Named CpuProfileNeutrality, not *Differential*: the TSan CI lane's

@@ -1,26 +1,20 @@
-// Differential harness for the tile-parallel simulation engine.
+// Differential harness for the host-thread knob on the simulator.
 //
 // The oracle is the full run report: make_run_report() serializes every
 // observable of a run — cycle counts, global and per-tile Stats, derived
 // rates, the region-attributed memory profile and the decision audit
-// trail — so byte-equality of the serialized report between a serial
-// (sim_threads = 0) engine and a parallel one is the strongest check we
-// can make. Machine::for_tiles guarantees it for every thread count
-// (DESIGN.md §11); these tests enforce the guarantee for every sw/hw
-// configuration pair and a spread of thread counts, including under the
-// full auto-reconfiguring decision flow.
+// trail. The cycle-accurate simulator always runs serially, so a kSim
+// engine must ignore `sim_threads` (it only sizes the native backend's
+// pool): the report is byte-identical to the sim_threads = 0 one for every
+// sw/hw configuration pair and thread count, including under the full
+// auto-reconfiguring decision flow, and no thread pool is started.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <utility>
 
-#include "kernels/address_map.h"
-#include "kernels/frontier.h"
-#include "kernels/ip_spmv.h"
-#include "kernels/op_spmv.h"
-#include "kernels/partition.h"
-#include "kernels/region_plan.h"
 #include "kernels/semiring.h"
 #include "runtime/engine.h"
 #include "runtime/report.h"
@@ -32,7 +26,6 @@
 namespace cosparse {
 namespace {
 
-using kernels::DenseFrontier;
 using kernels::PlainSpmv;
 using runtime::Engine;
 using runtime::EngineOptions;
@@ -47,8 +40,7 @@ sparse::Coo test_matrix() {
 }
 
 /// Pinned-configuration engine run -> serialized run report. `threads = 0`
-/// forces serial simulation even when COSPARSE_SIM_THREADS is set, so the
-/// reference leg of every comparison is genuinely the serial engine.
+/// is the serial reference leg, also when COSPARSE_SIM_THREADS is set.
 std::string pinned_report(SwConfig sw, sim::HwConfig hw,
                           std::uint32_t threads) {
   EngineOptions opts;
@@ -58,6 +50,7 @@ std::string pinned_report(SwConfig sw, sim::HwConfig hw,
   opts.fixed_hw = hw;
   opts.sim_threads = threads;
   Engine eng(test_matrix(), sim::SystemConfig::transmuter(4, 4), opts);
+  EXPECT_EQ(eng.executor(), nullptr) << "a sim engine owns no thread pool";
   sim::MemProfiler prof;
   eng.machine().set_profiler(&prof);
   int iter = 0;
@@ -94,10 +87,9 @@ class DifferentialHarness : public ::testing::TestWithParam<Params> {};
 TEST_P(DifferentialHarness, RunReportBitIdenticalToSerial) {
   const auto [cfg, threads] = GetParam();
   const std::string serial = pinned_report(cfg.first, cfg.second, 0);
-  const std::string parallel = pinned_report(cfg.first, cfg.second, threads);
-  EXPECT_EQ(serial, parallel)
-      << "parallel run with " << threads
-      << " thread(s) diverged from the serial engine";
+  const std::string threaded = pinned_report(cfg.first, cfg.second, threads);
+  EXPECT_EQ(serial, threaded)
+      << "sim_threads = " << threads << " changed the simulated report";
 }
 
 std::string param_name(const ::testing::TestParamInfo<Params>& info) {
@@ -131,70 +123,43 @@ TEST(DifferentialHarnessAuto, ThreadCountsAgreeWithEachOther) {
   EXPECT_EQ(auto_report(2), auto_report(8));
 }
 
-// Machine-level differential: drive the kernels directly (no engine, no
-// decision layer) and compare cycles + stats + profile between immediate
-// mode and an attached executor.
-template <class S>
-std::string machine_kernel_report(sim::HwConfig hw, bool outer,
-                                  sim::ParallelExecutor* exec, const S& sr) {
-  const sparse::Coo m = test_matrix();
-  const sim::SystemConfig cfg = sim::SystemConfig::transmuter(4, 4);
-  sim::Machine machine(cfg, hw);
-  sim::MemProfiler prof;
-  machine.set_profiler(&prof);
-  machine.set_executor(exec);
-  kernels::AddressMap amap(machine);
-  Json doc = Json::object();
-  if (outer) {
-    const auto striped =
-        kernels::OpStripedMatrix::build(m, cfg.num_tiles, true);
-    const auto x = sparse::random_sparse_vector(kDim, 0.05, 7);
-    const auto out = kernels::run_outer_product(machine, amap, striped, x,
-                                                nullptr, sr);
-    doc["touched"] = out.y.nnz();
-  } else {
-    const Index vb =
-        hw == sim::HwConfig::kSCS ? kernels::default_vblock_cols(cfg) : 0;
-    const auto part =
-        kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), vb, true);
-    const auto x = DenseFrontier::from_sparse(
-        sparse::random_sparse_vector(kDim, 0.05, 7), sr.vector_identity());
-    const auto out = kernels::run_inner_product(machine, amap, part, x, sr);
-    doc["touched"] = out.num_touched;
+/// Host threads of this process (Linux /proc/self/status), or -1 when the
+/// count is unavailable.
+int host_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
   }
-  doc["cycles"] = machine.cycles();
-  doc["stats"] = machine.stats().to_json();
-  Json tiles = Json::array();
-  for (const auto& t : machine.tile_stats()) tiles.push_back(t.to_json());
-  doc["tile_stats"] = std::move(tiles);
-  doc["profile"] = prof.to_json();
-  return doc.dump(1);
+  return -1;
 }
 
-TEST(DifferentialHarnessMachine, KernelsBitIdenticalUnderExecutor) {
-  sim::ParallelExecutor exec(3);
-  for (const bool outer : {false, true}) {
-    const auto hw = outer ? sim::HwConfig::kPC : sim::HwConfig::kSC;
-    EXPECT_EQ(machine_kernel_report(hw, outer, nullptr, PlainSpmv{}),
-              machine_kernel_report(hw, outer, &exec, PlainSpmv{}))
-        << (outer ? "OP" : "IP");
-    EXPECT_EQ(
-        machine_kernel_report(hw, outer, nullptr, kernels::SsspSemiring{}),
-        machine_kernel_report(hw, outer, &exec, kernels::SsspSemiring{}))
-        << (outer ? "OP" : "IP") << " (tropical)";
+TEST(SimEngineThreads, FourThreadsMatchSerialAndStartNoPool) {
+  // perfbench's report_identical_to_serial gate, in-process.
+  const int before = host_threads();
+  EngineOptions opts;
+  opts.sim_threads = 4;
+  Engine threaded(test_matrix(), sim::SystemConfig::transmuter(4, 4), opts);
+  EXPECT_EQ(threaded.executor(), nullptr);
+  if (before >= 0) EXPECT_EQ(host_threads(), before);
+  opts.sim_threads = 0;
+  Engine serial(test_matrix(), sim::SystemConfig::transmuter(4, 4), opts);
+  for (Engine* eng : {&threaded, &serial}) {
+    for (const double density : {0.002, 0.2}) {
+      const auto x = sparse::random_sparse_vector(kDim, density, 5);
+      eng->spmv(Engine::Frontier::from_sparse(x), PlainSpmv{});
+    }
   }
-}
+  EXPECT_EQ(runtime::make_run_report(threaded, "differential").to_string(),
+            runtime::make_run_report(serial, "differential").to_string());
 
-TEST(DifferentialHarnessMachine, SpmConfigsBitIdenticalUnderExecutor) {
-  sim::ParallelExecutor exec(2);
-  // SCS exercises the SPM-fill log path; PS the direct-to-L2 path.
-  EXPECT_EQ(machine_kernel_report(sim::HwConfig::kSCS, false, nullptr,
-                                  PlainSpmv{}),
-            machine_kernel_report(sim::HwConfig::kSCS, false, &exec,
-                                  PlainSpmv{}));
-  EXPECT_EQ(
-      machine_kernel_report(sim::HwConfig::kPS, true, nullptr, PlainSpmv{}),
-      machine_kernel_report(sim::HwConfig::kPS, true, &exec, PlainSpmv{}));
+  // The knob is live where it belongs: a native engine owns the pool.
+  opts.sim_threads = 4;
+  opts.exec_mode = native::ExecMode::kNative;
+  const Engine native_eng(test_matrix(), sim::SystemConfig::transmuter(4, 4),
+                          opts);
+  ASSERT_NE(native_eng.executor(), nullptr);
+  EXPECT_EQ(native_eng.executor()->num_threads(), 4u);
 }
 
 }  // namespace

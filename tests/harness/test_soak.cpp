@@ -1,12 +1,11 @@
-// Soak test for the tile-parallel simulation engine (ctest -L soak; built
-// only under -DCOSPARSE_SOAK=ON and excluded from the default suite).
+// Soak test for the cycle-accurate simulator (ctest -L soak; built only
+// under -DCOSPARSE_SOAK=ON and excluded from the default suite).
 //
-// A 64-tile machine runs ten thousand PageRank-style SpMV iterations under
-// the parallel executor. The point is longevity, not correctness of a
-// single step (the differential and property harnesses cover that): the
-// clock must advance monotonically on every iteration, Stats counters must
-// never run backwards or wrap, and the executor must survive ~640k tile
-// phases without deadlock or drift.
+// A 64-tile machine runs ten thousand PageRank-style SpMV iterations. The
+// point is longevity, not correctness of a single step (the differential
+// and property harnesses cover that): the clock must advance
+// monotonically on every iteration, and Stats counters must never run
+// backwards or wrap.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,16 +20,14 @@
 namespace cosparse {
 namespace {
 
-TEST(SoakParallelSim, TenThousandIterationsOn64Tiles) {
+TEST(SoakSim, TenThousandIterationsOn64Tiles) {
   constexpr Index kVertices = 2000;
   constexpr std::uint64_t kEdges = 10000;
   constexpr int kIterations = 10000;
 
   const auto m = sparse::power_law(kVertices, kVertices, kEdges, 2.3, 97,
                                    sparse::ValueDist::kUniform01);
-  runtime::EngineOptions opts;
-  opts.sim_threads = 4;
-  runtime::Engine eng(m, sim::SystemConfig::transmuter(64, 2), opts);
+  runtime::Engine eng(m, sim::SystemConfig::transmuter(64, 2));
 
   // PageRank iterates on a dense rank vector: every vertex stays active.
   auto frontier = runtime::Engine::Frontier::from_dense(

@@ -4,9 +4,9 @@
 // into the simulation, so the simulated-results subset of a run report —
 // everything except the wall-clock-bearing "telemetry" section — must be
 // byte-identical between a telemetry-on and a telemetry-off run of the
-// same workload, for serial and tile-parallel engines alike. This is the
-// same `obs::results_subset` document `cosparse-prof extract` emits and
-// the CI byte-compare diffs; these tests enforce the guarantee in-process.
+// same workload. This is the same `obs::results_subset` document
+// `cosparse-prof extract` emits and the CI byte-compare diffs; these tests
+// enforce the guarantee in-process.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,9 +37,8 @@ sparse::Coo test_matrix() {
 /// Auto-deciding engine run across a density ramp (kernel switches,
 /// frontier conversions, hw reconfigurations) with an optional telemetry
 /// registry attached. Returns the full run-report document.
-Json run_report(obs::Telemetry* telemetry, std::uint32_t threads) {
+Json run_report(obs::Telemetry* telemetry) {
   EngineOptions opts;
-  opts.sim_threads = threads;
   opts.telemetry = telemetry;
   Engine eng(test_matrix(), sim::SystemConfig::transmuter(4, 4), opts);
   int iter = 0;
@@ -52,8 +51,8 @@ Json run_report(obs::Telemetry* telemetry, std::uint32_t threads) {
 
 TEST(TelemetryDifferential, ResultsSubsetIsByteIdenticalWithTelemetryOn) {
   obs::Telemetry telemetry(obs::TelemetryConfig::parse("1i"));
-  const Json on = run_report(&telemetry, 0);
-  const Json off = run_report(nullptr, 0);
+  const Json on = run_report(&telemetry);
+  const Json off = run_report(nullptr);
 
   // The instrumented run really did take snapshots and grow a telemetry
   // section — otherwise this test would compare two identical code paths.
@@ -64,33 +63,12 @@ TEST(TelemetryDifferential, ResultsSubsetIsByteIdenticalWithTelemetryOn) {
   EXPECT_EQ(obs::results_subset(on).dump(1), obs::results_subset(off).dump(1));
 }
 
-TEST(TelemetryDifferential, ParallelEngineStaysBitNeutral) {
-  // The tile-parallel path adds per-tile fill/replay timing around the
-  // workers; the serial telemetry-off report is still the oracle.
-  const Json off_serial = run_report(nullptr, 0);
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    obs::Telemetry telemetry(obs::TelemetryConfig::parse("1i"));
-    const Json on = run_report(&telemetry, threads);
-    EXPECT_EQ(obs::results_subset(on).dump(1),
-              obs::results_subset(off_serial).dump(1))
-        << threads << " thread(s)";
-    // The machine-level instrumentation fired: per-tile fill and replay
-    // wall times were recorded for the parallel legs.
-    if (threads > 0) {
-      EXPECT_NE(telemetry.find_histogram("sim.tile_fill_ms"), nullptr)
-          << threads << " thread(s)";
-      EXPECT_NE(telemetry.find_histogram("sim.replay_ms"), nullptr)
-          << threads << " thread(s)";
-    }
-  }
-}
-
 TEST(TelemetryDifferential, WallClockCadenceIsAlsoBitNeutral) {
   // Wall-clock cadence snapshots can fire at arbitrary points relative to
   // the simulation; the simulated results must not care.
   obs::Telemetry telemetry(obs::TelemetryConfig::parse("1ms"));
-  const Json on = run_report(&telemetry, 2);
-  const Json off = run_report(nullptr, 0);
+  const Json on = run_report(&telemetry);
+  const Json off = run_report(nullptr);
   EXPECT_EQ(obs::results_subset(on).dump(1), obs::results_subset(off).dump(1));
 }
 

@@ -62,9 +62,9 @@ TEST(SloRule, ParsesStatMetricOpThreshold) {
   EXPECT_EQ(r.op, "<");
   EXPECT_DOUBLE_EQ(r.threshold, 5.0);
 
-  const SloRule ge = parse_slo_rule(" mean.sim.replay_ms >= 0.25 ");
+  const SloRule ge = parse_slo_rule(" mean.serve.request_ms >= 0.25 ");
   EXPECT_EQ(ge.stat, "mean");
-  EXPECT_EQ(ge.metric, "sim.replay_ms");
+  EXPECT_EQ(ge.metric, "serve.request_ms");
   EXPECT_EQ(ge.op, ">=");
   EXPECT_DOUBLE_EQ(ge.threshold, 0.25);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "common/error.h"
 #include "sparse/generate.h"
@@ -14,8 +15,13 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   std::string write_file(const std::string& content) {
+    // Named per test: ctest runs tests of this suite concurrently.
     const std::string path =
-        "/tmp/cosparse_io_test_" + std::to_string(counter_++) + ".tmp";
+        "/tmp/cosparse_io_test_" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        "_" + std::to_string(counter_++) + ".tmp";
     std::ofstream out(path);
     out << content;
     out.close();
@@ -140,6 +146,32 @@ TEST_F(IoTest, EdgeListMalformedLine) {
 TEST_F(IoTest, EdgeListNegativeVertex) {
   const auto path = write_file("-1 2\n");
   EXPECT_THROW(read_edge_list(path), Error);
+}
+
+/// read_edge_list(path) must throw an Error whose message names `line`.
+void expect_rejected_at_line(const std::string& path, int line) {
+  try {
+    (void)read_edge_list(path);
+    FAIL() << "accepted an out-of-range vertex id";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(":" + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoTest, EdgeListIdBeyond32BitsRejected) {
+  // 2^32 used to truncate silently to vertex 0, i.e. edge (0, 0).
+  expect_rejected_at_line(write_file("0 1\n4294967296 1\n"), 2);
+}
+
+TEST_F(IoTest, EdgeListMaxIndexIdRejected) {
+  // 2^32 - 1 fits Index, but the dimension max_id + 1 used to wrap to 0.
+  expect_rejected_at_line(write_file("4294967295 0\n"), 1);
+  // The largest accepted id leaves room for the dimension.
+  const Coo g = read_edge_list(write_file("4294967294 0\n"));
+  EXPECT_EQ(g.rows(), 4294967295u);
+  EXPECT_EQ(g.nnz(), 1u);
 }
 
 TEST_F(IoTest, EmptyEdgeListYieldsEmptyMatrix) {

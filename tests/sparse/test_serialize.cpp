@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "common/error.h"
@@ -84,6 +86,46 @@ TEST_F(SerializeTest, CorruptionRejectedByChecksum) {
   f.write(&b, 1);
   f.close();
   EXPECT_THROW(read_binary(p), Error);
+}
+
+/// Rewrites the header nnz field of a binary matrix file in place.
+void patch_nnz(const std::string& p, std::uint64_t nnz) {
+  // magic (8) + version (4) + rows (4) + cols (4), then the nnz word.
+  std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(20);
+  f.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+}
+
+TEST_F(SerializeTest, OverstatedNnzRejectedBeforeAllocating) {
+  // A 36-byte file (empty matrix + checksum) declaring 2^62 entries used
+  // to reach reserve() and throw std::length_error instead of an Error.
+  const auto p = path("huge_nnz");
+  write_binary(p, Coo(4, 4, {}));
+  ASSERT_EQ(std::ifstream(p, std::ios::binary | std::ios::ate).tellg(), 36);
+  patch_nnz(p, std::uint64_t{1} << 62);
+  EXPECT_THROW(read_binary(p), Error);
+  // An understated count is just as inconsistent with the file size.
+  const auto q = path("short_nnz");
+  write_binary(q, uniform_random(10, 10, 20, 3));
+  patch_nnz(q, 19);
+  EXPECT_THROW(read_binary(q), Error);
+}
+
+TEST_F(SerializeTest, DatasetCacheWithOverstatedNnzFallsBackToGeneration) {
+  // The registry's "ignoring bad dataset cache" fallback only catches
+  // Error, so a hostile cache file must fail with one.
+  const std::string dir = "/tmp/cosparse_cache_badnnz_test";
+  std::filesystem::create_directories(dir);
+  const std::string cached = dir + "/vsp_scale128.bin";
+  write_binary(cached, Coo(4, 4, {}));
+  patch_nnz(cached, std::uint64_t{1} << 62);
+  setenv("COSPARSE_CACHE_DIR", dir.c_str(), 1);
+  DatasetRegistry reg;
+  const auto loaded = reg.load("vsp", 128);
+  unsetenv("COSPARSE_CACHE_DIR");
+  const auto fresh = DatasetRegistry().load("vsp", 128);
+  EXPECT_EQ(loaded.adjacency().triplets(), fresh.adjacency().triplets());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SerializeTest, DatasetCacheViaEnvironment) {

@@ -143,6 +143,34 @@ TEST(Cosparsed, DeeplyNestedRequestLineGetsAnErrorResponse) {
   EXPECT_EQ(rs[1].find("status")->as_string(), "ok");
 }
 
+TEST(Cosparsed, OverlongRequestLineGetsAnErrorResponse) {
+  // A 2 MiB line is over the 1 MiB cap: it gets a per-line error and is
+  // skipped, and the lines after it are still served.
+  const std::string cfg = tiny_config_path();
+  const std::string requests = write_temp("overlong.jsonl",
+      "{\"dataset\": \"twitter\", \"algo\": \"bfs\", \"pad\": \"" +
+      std::string(std::size_t{2} << 20, 'x') + "\"}\n" +
+      "{\"dataset\": \"twitter\", \"algo\": \"bfs\"}\n" +
+      "{\"dataset\": \"vsp\", \"algo\": \"pagerank\"}\n");
+  const std::string responses = ::testing::TempDir() + "cd_overlong.jsonl";
+  ASSERT_EQ(run({"--config", cfg, "--requests", requests,
+                 "--report-out", "", "--responses-out", responses}),
+            0);
+  std::ifstream in(responses);
+  std::string line;
+  std::vector<Json> rs;
+  while (std::getline(in, line)) rs.push_back(Json::parse(line));
+  ASSERT_EQ(rs.size(), 3u);
+  EXPECT_EQ(rs[0].find("id")->as_int(), 1);
+  EXPECT_EQ(rs[0].find("status")->as_string(), "error");
+  EXPECT_NE(rs[0].find("error")->as_string().find("exceeds"),
+            std::string::npos);
+  EXPECT_EQ(rs[1].find("id")->as_int(), 2);
+  EXPECT_EQ(rs[1].find("status")->as_string(), "ok");
+  EXPECT_EQ(rs[2].find("id")->as_int(), 3);
+  EXPECT_EQ(rs[2].find("status")->as_string(), "ok");
+}
+
 TEST(Cosparsed, CpuProfileAddsReportSectionAndFoldedStacks) {
   const std::string cfg = tiny_config_path();
   const std::string report_path = ::testing::TempDir() + "cd_prof.json";

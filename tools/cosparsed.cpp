@@ -22,18 +22,54 @@ namespace cosparse::tools {
 
 namespace {
 
+/// Longest request line buffered. A real request is a few hundred bytes.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
+/// std::getline with a cap: reads the next line into `line`, keeping at
+/// most kMaxRequestLineBytes of it and discarding the rest unbuffered
+/// (`too_long` says whether anything was discarded). Returns false at end
+/// of input.
+bool read_capped_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf* sb = in.rdbuf();
+  bool any = false;
+  for (int c = sb->sbumpc(); c != std::char_traits<char>::eof();
+       c = sb->sbumpc()) {
+    any = true;
+    if (c == '\n') return true;
+    if (line.size() < kMaxRequestLineBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      too_long = true;
+    }
+  }
+  return any;
+}
+
 /// Reads the JSONL request stream: ids are assigned by line number
 /// (1-based, blank lines still count so errors are reportable by line),
-/// well-formed requests go to `trace`, everything else becomes a
-/// structured error response in `errors`.
+/// well-formed requests go to `trace`, everything else (including a line
+/// over kMaxRequestLineBytes) becomes a structured error response in
+/// `errors`.
 void read_requests(std::istream& in, std::vector<serve::QueryRequest>& trace,
                    std::vector<serve::QueryResponse>& errors) {
   std::string line;
+  bool too_long = false;
   std::uint64_t lineno = 0;
-  while (std::getline(in, line)) {
+  while (read_capped_line(in, line, too_long)) {
     ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    serve::ParsedRequest parsed = serve::parse_request_line(line);
+    if (!too_long &&
+        line.find_first_not_of(" \t\r") == std::string::npos) {
+      continue;
+    }
+    serve::ParsedRequest parsed;
+    if (too_long) {
+      parsed.error = "request line exceeds " +
+                     std::to_string(kMaxRequestLineBytes) + " bytes";
+    } else {
+      parsed = serve::parse_request_line(line);
+    }
     if (parsed.ok()) {
       parsed.request->id = lineno;
       trace.push_back(std::move(*parsed.request));
