@@ -16,7 +16,6 @@
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
@@ -91,9 +90,6 @@ void init_observability(const CliParser& cli);
 /// sim::Machine::set_trace.
 [[nodiscard]] obs::Trace* trace();
 
-/// The process-wide metrics registry. Pass into EngineOptions::metrics.
-[[nodiscard]] obs::MetricsRegistry& metrics();
-
 /// The process-wide native-backend executor, or nullptr when the run is
 /// serial or simulated (the simulator always runs serially). Resolved
 /// from --sim-threads (falling back to the COSPARSE_SIM_THREADS
@@ -122,8 +118,8 @@ void init_observability(const CliParser& cli);
 /// obs::TelemetrySession.
 [[nodiscard]] obs::Telemetry* telemetry();
 
-/// Default EngineOptions with the process-wide trace/metrics/telemetry
-/// sinks already attached; harnesses adjust the remaining fields as usual.
+/// Default EngineOptions with the process-wide trace/telemetry sinks
+/// already attached; harnesses adjust the remaining fields as usual.
 [[nodiscard]] runtime::EngineOptions engine_options();
 
 /// Sets a top-level section of the run report (e.g. "config", "dataset").
@@ -133,8 +129,8 @@ void report_set(const std::string& key, Json value);
 /// load imbalance.
 [[nodiscard]] Json to_json(const KernelRun& run);
 
-/// Folds the metrics registry (and, when armed, the telemetry section)
-/// into the report, then writes the report and trace to the paths
+/// Folds the memory profile, telemetry and CPU profile sections (each
+/// when armed) into the report, then writes the report and trace to the paths
 /// requested at init_observability() time (no-op for outputs that were
 /// not requested). Finalizes the telemetry session — final snapshot,
 /// exporter drain, SLO verdict — and returns the exit code the binary

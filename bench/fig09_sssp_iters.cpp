@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
            "best SW", "best HW", "chosen"});
 
   runtime::DecisionEngine decider(sys);
-  decider.set_metrics(&bench::metrics());
   std::vector<Value> dist(n, kernels::kInf);
   dist[source] = 0;
   sparse::SparseVector frontier(n);

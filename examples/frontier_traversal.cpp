@@ -13,7 +13,6 @@
 #include "common/table.h"
 #include "graph/algorithms.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -85,12 +84,10 @@ int main(int argc, char** argv) {
   const bool profile = cli.flag("profile");
 
   // Shared observability sinks: all three traversal engines publish into
-  // the same trace/metrics, so algo.bfs.*, algo.cc.* and algo.sssp.* land
-  // in one registry and one timeline.
+  // the same trace and telemetry, so their spans land in one timeline.
   std::string trace_path = cli.str("trace-out");
   if (trace_path.empty()) trace_path = obs::trace_path_from_env();
   obs::Trace trace(!trace_path.empty());
-  obs::MetricsRegistry metrics;
   runtime::EngineOptions obs_opts;
   if (!cli.str("sim-threads").empty()) {
     obs_opts.sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
@@ -100,10 +97,9 @@ int main(int argc, char** argv) {
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
   obs_opts.trace = &trace;
-  obs_opts.metrics = &metrics;
   // One telemetry stream spans all three traversal engines, like the
-  // trace/metrics sinks: algo.bfs.*, algo.cc.* and algo.sssp.* histograms
-  // accumulate into the same snapshots.
+  // trace: algo.bfs.*, algo.cc.* and algo.sssp.* histograms accumulate
+  // into the same snapshots.
   obs::TelemetrySession telemetry;
   telemetry.init(cli, "frontier_traversal");
   obs_opts.telemetry = telemetry.telemetry();
@@ -170,8 +166,8 @@ int main(int argc, char** argv) {
               << sssp.stats.hw_switches() << " memory reconfigurations\n";
 
     // The report covers the last engine's machine (the SSSP run) plus the
-    // metrics registry all three traversals shared. Telemetry finalizes
-    // first so its final snapshot and SLO verdict reach the report.
+    // telemetry all three traversals shared. Telemetry finalizes first so
+    // its final snapshot and SLO verdict reach the report.
     exit_code = telemetry.finalize();
     cpu_profile.finalize();
     if (const std::string path = cli.str("report-out"); !path.empty()) {

@@ -19,7 +19,6 @@
 #include "graph/algorithms.h"
 #include "kernels/semiring.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -72,11 +71,10 @@ int main(int argc, char** argv) {
 
   // 2. A simulated Transmuter-class system (Table II defaults) and the
   //    engine: it keeps both matrix layouts resident and reconfigures the
-  //    memory hierarchy per SpMV invocation. The trace/metrics sinks are
+  //    memory hierarchy per SpMV invocation. The trace/telemetry sinks are
   //    optional — without them the engine pays one pointer test per event.
   const auto system = sim::SystemConfig::transmuter(4, 8);
   obs::Trace trace(!trace_path.empty());
-  obs::MetricsRegistry metrics;
   runtime::EngineOptions opts;
   if (!cli.str("sim-threads").empty()) {
     opts.sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
   opts.trace = &trace;
-  opts.metrics = &metrics;
   // Continuous telemetry (off unless --telemetry-interval or
   // COSPARSE_TELEMETRY arms it): streaming histograms snapshotted to
   // JSONL/OpenMetrics, watched by the SLO rules. Tail the JSONL live with
@@ -154,7 +151,7 @@ int main(int argc, char** argv) {
   }
 
   // 6. Machine-readable outputs: one JSON run report (global + per-tile
-  //    stats, iteration records, metrics, telemetry) and a Perfetto
+  //    stats, iteration records, decision audit, telemetry) and a Perfetto
   //    trace. Finalize telemetry first so the final flush snapshot and
   //    SLO verdict land in the report's telemetry section; the returned
   //    code is nonzero only under --slo-strict with a violated rule.

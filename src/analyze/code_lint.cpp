@@ -9,6 +9,7 @@
 #include "analyze/passes.h"
 #include "analyze/source.h"
 #include "common/error.h"
+#include "common/file.h"
 #include "common/json.h"
 
 namespace cosparse::analyze {

@@ -1,7 +1,6 @@
 #include "analyze/source.h"
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.h"
@@ -226,14 +225,6 @@ SourceFile scan_source(std::string path, const std::string& text) {
     }
   }
   return out;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  COSPARSE_REQUIRE(in.good(), "cannot read source file: " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 }  // namespace cosparse::analyze

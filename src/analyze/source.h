@@ -47,7 +47,4 @@ struct SourceFile {
 /// single punct tokens so qualified names and member calls scan cleanly.
 [[nodiscard]] SourceFile scan_source(std::string path, const std::string& text);
 
-/// Reads a whole file; throws cosparse::Error when unreadable.
-[[nodiscard]] std::string read_file(const std::string& path);
-
 }  // namespace cosparse::analyze

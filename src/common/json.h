@@ -1,6 +1,6 @@
 // Minimal ordered JSON document: build, dump, parse.
 //
-// The observability layer (src/obs) serializes traces, metrics and run
+// The observability layer (src/obs) serializes traces, telemetry and run
 // reports through this type, and tests parse them back to assert on
 // structure. Objects preserve insertion order so emitted documents diff
 // cleanly across runs. Integers are kept exact (no silent promotion to

@@ -19,8 +19,8 @@ using sparse::SparseVector;
 
 /// Captures engine totals at algorithm start, slices out the algorithm's
 /// own contribution at the end, and publishes it into the engine's
-/// attached observability sinks (algo.<name>.* counters, one "algos" track
-/// span covering the whole run).
+/// attached observability sinks (algo.<name>.* telemetry histograms, one
+/// "algos" track span covering the whole run).
 class StatsScope {
  public:
   StatsScope(Engine& eng, const char* algo)
@@ -41,12 +41,6 @@ class StatsScope {
                                static_cast<std::ptrdiff_t>(start_log_),
                            eng_->iterations().end());
     s.iterations = static_cast<std::uint32_t>(s.per_iteration.size());
-    if (obs::MetricsRegistry* m = eng_->metrics(); m != nullptr) {
-      const std::string prefix = std::string("algo.") + algo_;
-      m->counter(prefix + ".runs").inc();
-      m->counter(prefix + ".iterations").inc(s.iterations);
-      m->counter(prefix + ".cycles").inc(s.cycles);
-    }
     if (obs::Telemetry* tel = eng_->telemetry(); tel != nullptr) {
       const std::string prefix = std::string("algo.") + algo_;
       tel->histogram(prefix + ".wall_ms")

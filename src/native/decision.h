@@ -7,7 +7,7 @@
 // tree-coverage pass keeps working unchanged. This class maps the audited
 // SW decision onto the native kernel family (IP -> row-parallel pull SpMV,
 // OP -> column-merge push SpMSpV) and keeps the running tally that the run
-// report's "native" section and the engine metrics publish.
+// report's "native" section publishes.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 //
 // A Report is one JSON document describing a complete run — tool, system
 // config, dataset, per-iteration records, final stats (global and
-// per-tile), energy, metrics and any result tables — written next to the
+// per-tile), energy and any result tables — written next to the
 // existing CSV mirrors. The schema is documented in DESIGN.md §8
 // ("Observability") and checked by tests/obs/report_schema.h; bump
 // kReportSchema when making an incompatible change.
@@ -25,7 +25,7 @@ class Report {
 
   /// Sets (or replaces) a top-level section. Well-known keys: "config",
   /// "dataset", "iterations", "stats", "tile_stats", "derived", "totals",
-  /// "metrics", "tables".
+  /// "tables".
   void set(const std::string& key, Json value);
 
   [[nodiscard]] const Json& root() const { return doc_; }

@@ -1,8 +1,8 @@
 // Continuous telemetry: streaming histograms sampled into periodic
 // snapshots, evaluated against SLO rules and handed to an exporter.
 //
-// Everything observability built before this file is *batch* — traces,
-// metrics and run reports materialize only after a run finishes. The
+// Everything observability built before this file is *batch* — traces
+// and run reports materialize only after a run finishes. The
 // Telemetry registry is the continuous layer: producers (runtime::Engine,
 // sim::Machine, graph algorithms) observe into named StreamingHistograms
 // on the hot path, and on a configurable wall-clock or iteration cadence

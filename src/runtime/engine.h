@@ -22,7 +22,6 @@
 
 #include "common/json.h"
 #include "kernels/address_map.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "kernels/frontier.h"
@@ -61,10 +60,9 @@ struct EngineOptions {
   bool vblocked = true;
   Thresholds thresholds;
   /// Optional observability sinks (not owned; must outlive the engine).
-  /// With a null/disabled trace and no registry the hot path only pays a
+  /// With a null/disabled trace and no telemetry the hot path only pays a
   /// pointer test per iteration.
   obs::Trace* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   /// Continuous telemetry registry (obs/telemetry.h; not owned). The
   /// engine observes per-iteration wall/cycle/density histograms and
   /// pulses the snapshot cadence once per spmv() call. Telemetry only
@@ -265,9 +263,6 @@ class Engine {
   /// "decision_audit" run-report section).
   [[nodiscard]] const AuditTrail& audit() const { return audit_; }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
-  /// The metrics registry the engine publishes into (nullptr when none was
-  /// attached); graph algorithms use it for their own counters.
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   [[nodiscard]] obs::Trace* trace() const { return trace_; }
   /// The continuous-telemetry registry (nullptr when none was attached);
   /// report.cpp folds its digests into the run report's telemetry section.
@@ -308,7 +303,7 @@ class Engine {
 
   Decision resolve_decision(std::size_t frontier_nnz) const;
 
-  /// Publishes the finished iteration into the attached trace/metrics
+  /// Publishes the finished iteration into the attached trace/telemetry
   /// sinks (no-op without sinks). Lives in engine.cpp so the template
   /// above stays lean.
   void record_iteration(const IterationRecord& rec, Cycles iter_begin,
@@ -349,7 +344,6 @@ class Engine {
   std::uint32_t next_iteration_ = 0;
   std::optional<SwConfig> last_sw_;
   obs::Trace* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
 };
 

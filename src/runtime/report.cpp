@@ -67,8 +67,6 @@ obs::Report make_run_report(const Engine& eng, std::string tool) {
     }
   }
 
-  if (eng.metrics() != nullptr) rep.set("metrics", eng.metrics()->to_json());
-
   // Telemetry is wall-clock-bearing, so it lives in its own section that
   // obs::results_subset() strips for the bit-neutrality comparison.
   if (eng.telemetry() != nullptr) {

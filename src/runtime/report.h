@@ -1,8 +1,8 @@
 // Run-report assembly for Engine-based runs.
 //
 // make_run_report() snapshots everything an Engine knows — system config,
-// per-iteration records, global and per-tile simulator stats, derived
-// rates, totals and the attached metrics registry — into one
+// per-iteration records, decision audit, global and per-tile simulator
+// stats, derived rates, totals and any attached telemetry — into one
 // cosparse.run_report/v1 document (schema in DESIGN.md §8). Callers add
 // tool-specific sections ("dataset", "tables", ...) on top and write().
 #pragma once

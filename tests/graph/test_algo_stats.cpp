@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.h"
+#include "obs/telemetry.h"
+#include "sparse/generate.h"
 
 namespace cosparse::graph {
 namespace {
@@ -42,6 +44,39 @@ TEST(AlgoStats, TimeEnergyPowerConversions) {
 TEST(AlgoStats, ZeroCyclesZeroWatts) {
   AlgoStats s;
   EXPECT_DOUBLE_EQ(s.watts(), 0.0);
+}
+
+TEST(AlgoStats, TelemetryHistogramsCarryTheAlgorithmTallies) {
+  // The algo.<name>.* histograms are where per-algorithm tallies are read
+  // from: wall_ms counts runs, iter_cycles counts iterations and sums
+  // their SpMV cycles.
+  obs::Telemetry tel;
+  runtime::EngineOptions opts;
+  opts.telemetry = &tel;
+  runtime::Engine eng(sparse::uniform_random(800, 800, 6400, 3,
+                                             sparse::ValueDist::kUniform01),
+                      sim::SystemConfig::transmuter(2, 4), opts);
+  const AlgoStats a = bfs(eng, 0).stats;
+  const AlgoStats b = bfs(eng, 1).stats;
+  ASSERT_GT(a.iterations + b.iterations, 0u);
+  Cycles spmv_cycles = 0;
+  for (const AlgoStats* s : {&a, &b}) {
+    for (const runtime::IterationRecord& r : s->per_iteration) {
+      spmv_cycles += r.cycles;
+    }
+  }
+
+  const obs::StreamingHistogram* wall = tel.find_histogram("algo.bfs.wall_ms");
+  const obs::StreamingHistogram* cycles =
+      tel.find_histogram("algo.bfs.iter_cycles");
+  ASSERT_NE(wall, nullptr);
+  ASSERT_NE(cycles, nullptr);
+  EXPECT_EQ(wall->count(), 2u);
+  EXPECT_EQ(cycles->count(), std::uint64_t{a.iterations} + b.iterations);
+  EXPECT_EQ(cycles->sum(), static_cast<double>(spmv_cycles));
+  // AlgoStats::cycles also covers BFS's per-level apply passes, which run
+  // outside spmv() and so are in no iteration record.
+  EXPECT_LT(cycles->sum(), static_cast<double>(a.cycles + b.cycles));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "graph/algorithms.h"
 #include "kernels/semiring.h"
-#include "obs/metrics.h"
 #include "sparse/generate.h"
 #include "report_schema.h"
 
@@ -64,10 +63,7 @@ TEST(Report, SwConfigFromStringParsesBothAndRejectsOthers) {
 TEST(Report, MakeRunReportPassesSchemaCheck) {
   const auto a = sparse::uniform_random(2500, 2500, 35000, 17,
                                         sparse::ValueDist::kUniform01);
-  obs::MetricsRegistry metrics;
-  EngineOptions opts;
-  opts.metrics = &metrics;
-  Engine eng(a, sim::SystemConfig::transmuter(4, 8), opts);
+  Engine eng(a, sim::SystemConfig::transmuter(4, 8));
   const auto res = graph::bfs(eng, 0);
   ASSERT_GT(res.stats.iterations, 0u);
 
@@ -82,10 +78,9 @@ TEST(Report, MakeRunReportPassesSchemaCheck) {
   const Json* tiles = doc.find("tile_stats");
   ASSERT_NE(tiles, nullptr);
   EXPECT_EQ(tiles->size(), static_cast<std::size_t>(eng.system().num_tiles));
-  // Metrics section is present because a registry was attached.
-  const Json* metrics_section = doc.find("metrics");
-  ASSERT_NE(metrics_section, nullptr);
-  EXPECT_NE(metrics_section->find("counters"), nullptr);
+  // The per-iteration log and decision audit are the only tallies; there
+  // is no separate counter section.
+  EXPECT_EQ(doc.find("metrics"), nullptr);
   // Totals mirror the engine.
   EXPECT_EQ(doc.find("totals")->find("cycles")->as_int(),
             static_cast<std::int64_t>(eng.total_cycles()));

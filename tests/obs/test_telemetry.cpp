@@ -6,22 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/file.h"
 #include "obs/exporter.h"
 
 namespace cosparse::obs {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 // ---- interval specs ----
 

@@ -5,12 +5,11 @@
 // the global stats, well-formed iteration records). Exit 0 on success,
 // 1 with a diagnostic on the first violation. Used by the CTest smoke test
 // that runs examples/quickstart with --report-out.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "../obs/report_schema.h"
 
@@ -19,16 +18,9 @@ int main(int argc, char** argv) {
     std::cerr << "usage: check_report <report.json>\n";
     return 2;
   }
-  std::ifstream in(argv[1]);
-  if (!in.good()) {
-    std::cerr << "check_report: cannot open " << argv[1] << "\n";
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-
   try {
-    const cosparse::Json doc = cosparse::Json::parse(buf.str());
+    const cosparse::Json doc =
+        cosparse::Json::parse(cosparse::read_file(argv[1]));
     const std::string err = cosparse::obs::testing::check_report(doc);
     if (!err.empty()) {
       std::cerr << "check_report: " << argv[1] << ": " << err << "\n";

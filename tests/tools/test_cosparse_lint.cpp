@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/file.h"
+
 namespace cosparse::tools {
 namespace {
 
@@ -220,15 +222,17 @@ TEST(CosparseLintCli, UsageErrors) {
   EXPECT_EQ(run_cli({"plan", "--bogus-flag"}, nullptr), 2);
 }
 
+TEST(CosparseLintCli, UnboundedInputFileIsAUsageError) {
+  std::string text;
+  EXPECT_EQ(run_cli({"plan", "/dev/zero"}, &text), 2);
+  EXPECT_NE(text.find("cosparse-lint: /dev/zero"), std::string::npos) << text;
+}
+
 TEST(CosparseLintCli, ReportOutWritesDocument) {
   const auto plan = write_temp("clean3.plan.json", kQuickstartPlan);
   const auto out_path = ::testing::TempDir() + "lint_report.json";
   EXPECT_EQ(run_cli({"plan", plan, "--report-out", out_path}, nullptr), 0);
-  std::ifstream in(out_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const Json doc = Json::parse(buf.str());
+  const Json doc = Json::parse(read_file(out_path));
   EXPECT_EQ(doc.find("schema")->as_string(), verify::kLintFindingsSchema);
 }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file.h"
 
 namespace cosparse::tools {
 namespace {
@@ -228,12 +229,9 @@ TEST(ProfMain, FlameWritesHtmlAndPrintsPhases) {
   const std::string folded = write_text("prof_flame.folded", kFoldedA);
   const std::string html = ::testing::TempDir() + "prof_flame.html";
   EXPECT_EQ(run_main({"flame", folded, "--out", html}), 0);
-  std::ifstream in(html);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("<svg"), std::string::npos);
-  EXPECT_NE(buf.str().find("x.one"), std::string::npos);
+  const std::string text = read_file(html);
+  EXPECT_NE(text.find("<svg"), std::string::npos);
+  EXPECT_NE(text.find("x.one"), std::string::npos);
 }
 
 TEST(ProfMain, FlameDefaultsToInputDotHtml) {

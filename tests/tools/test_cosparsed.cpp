@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file.h"
 #include "common/json.h"
 
 namespace cosparse::tools {
@@ -19,13 +20,6 @@ std::string write_temp(const std::string& name, const std::string& text) {
   std::ofstream out(path);
   out << text;
   return path;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 int run(const std::vector<std::string>& args, std::string* out_text = nullptr,
@@ -71,6 +65,15 @@ TEST(Cosparsed, UsageErrors) {
   EXPECT_EQ(run({"--config", tiny_config_path(), "--exec-mode", "quantum",
                  "--report-out", ""}),
             2);
+}
+
+TEST(Cosparsed, UnboundedConfigFileIsAUsageError) {
+  // An endless config stops at the read cap with an error line instead of
+  // exhausting memory.
+  std::string err;
+  EXPECT_EQ(run({"--config", "/dev/zero", "--report-out", ""}, nullptr, &err),
+            2);
+  EXPECT_NE(err.find("cosparsed: /dev/zero"), std::string::npos) << err;
 }
 
 TEST(Cosparsed, ReplayWritesAWellFormedReport) {

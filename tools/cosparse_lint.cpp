@@ -3,12 +3,12 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze/code_lint.h"
 #include "common/error.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "verify/baseline.h"
 #include "verify/serve_lint.h"
@@ -109,16 +109,9 @@ bool parse_args(int argc, const char* const* argv, Options& opts,
 bool load_baseline(const Options& opts, verify::Baseline& baseline,
                    std::ostream& err) {
   if (opts.baseline_path.empty()) return true;
-  std::ifstream in(opts.baseline_path);
-  if (!in.good()) {
-    err << "cosparse-lint: cannot open baseline " << opts.baseline_path
-        << "\n";
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
   try {
-    baseline = verify::Baseline::from_json(Json::parse(buf.str()));
+    baseline = verify::Baseline::from_json(
+        Json::parse(read_file(opts.baseline_path)));
   } catch (const Error& e) {
     err << "cosparse-lint: bad baseline " << opts.baseline_path << ": "
         << e.what() << "\n";
@@ -179,13 +172,13 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
     }
   } else {
     for (const std::string& path : opts.files) {
-      std::ifstream in(path);
-      if (!in.good()) {
-        err << "cosparse-lint: cannot open " << path << "\n";
+      std::string text;
+      try {
+        text = read_file(path);
+      } catch (const Error& e) {
+        err << "cosparse-lint: " << e.what() << "\n";
         return 2;
       }
-      std::stringstream buf;
-      buf << in.rdbuf();
 
       verify::LintReport report(path);
       if (opts.subcommand == "telemetry") {
@@ -194,12 +187,12 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
         const bool openmetrics = path.size() >= 5 &&
                                  (path.substr(path.size() - 5) == ".prom" ||
                                   path.substr(path.size() - 4) == ".txt");
-        report.add(openmetrics ? verify::lint_openmetrics(buf.str())
-                               : verify::lint_telemetry_jsonl(buf.str()));
+        report.add(openmetrics ? verify::lint_openmetrics(text)
+                               : verify::lint_telemetry_jsonl(text));
         report.sort_by_severity();
       } else {
         try {
-          const Json doc = Json::parse(buf.str());
+          const Json doc = Json::parse(text);
           report = opts.subcommand == "report"
                        ? verify::lint_run_report_json(doc, path)
                    : opts.subcommand == "serve"

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file.h"
 #include "common/table.h"
 #include "obs/flame.h"
 #include "obs/histogram.h"
@@ -449,19 +450,7 @@ void summarize_telemetry(std::ostream& os, const std::string& jsonl_text,
 namespace {
 
 Json load_report(const std::string& path) {
-  std::ifstream in(path);
-  COSPARSE_REQUIRE(in.good(), "cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return Json::parse(buf.str());
-}
-
-std::string load_text(const std::string& path) {
-  std::ifstream in(path);
-  COSPARSE_REQUIRE(in.good(), "cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return Json::parse(read_file(path));
 }
 
 int usage(std::ostream& os) {
@@ -505,7 +494,7 @@ int prof_main(int argc, const char* const* argv) {
         summarize_report(std::cout, load_report(path), path);
       }
       for (const std::string& path : telemetry) {
-        summarize_telemetry(std::cout, load_text(path), path);
+        summarize_telemetry(std::cout, read_file(path), path);
       }
       return 0;
     }
@@ -595,7 +584,7 @@ int prof_main(int argc, const char* const* argv) {
       }
       if (files.size() != 1) return usage(std::cerr);
       const obs::FoldedProfile profile =
-          obs::FoldedProfile::parse(load_text(files[0]));
+          obs::FoldedProfile::parse(read_file(files[0]));
       std::cout << "=== " << files[0] << " (" << profile.total_samples
                 << " samples) ===\n";
       obs::print_phase_table(std::cout, profile);
@@ -626,8 +615,8 @@ int prof_main(int argc, const char* const* argv) {
       }
       if (files.size() != 2) return usage(std::cerr);
       const obs::FlameDiffResult result = obs::diff_folded(
-          obs::FoldedProfile::parse(load_text(files[0])),
-          obs::FoldedProfile::parse(load_text(files[1])), max_regress);
+          obs::FoldedProfile::parse(read_file(files[0])),
+          obs::FoldedProfile::parse(read_file(files[1])), max_regress);
       print_flame_diff(std::cout, result, max_regress);
       return result.regressed ? 1 : 0;
     }

@@ -300,6 +300,9 @@ int top_main(int argc, const char* const* argv, std::ostream& out,
   while (true) {
     std::string text;
     {
+      // Not common/file.h's read_file(): its size cap is for documents,
+      // and the telemetry stream tailed here grows for as long as the
+      // producer runs.
       std::ifstream in(path);
       if (in.good()) {
         std::stringstream buf;

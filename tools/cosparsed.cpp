@@ -4,12 +4,12 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/error.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
@@ -135,12 +135,8 @@ int cosparsed_main(int argc, const char* const* argv, std::ostream& out,
 
   serve::ServeConfig cfg;
   try {
-    std::ifstream in(cli.str("config"));
-    if (!in.good())
-      throw Error("cannot open config file: " + cli.str("config"));
-    std::stringstream buf;
-    buf << in.rdbuf();
-    cfg = serve::ServeConfig::from_json(Json::parse(buf.str()));
+    cfg = serve::ServeConfig::from_json(
+        Json::parse(read_file(cli.str("config"))));
   } catch (const Error& e) {
     err << "cosparsed: " << e.what() << "\n";
     return 2;
